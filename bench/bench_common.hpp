@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "atf/atf.hpp"
@@ -67,19 +68,14 @@ inline double measure(const xg::problem& prob, const xg::params& p,
   }
 }
 
-/// Extracts a params struct from an ATF configuration.
-inline xg::params params_from_config(const atf::configuration& config) {
+/// Decodes a baseline tuner's result (knob name -> integer value).
+template <typename Values>
+xg::params params_from_values(const Values& values) {
   xg::params p;
-  p.wgd = config["WGD"];
-  p.mdimcd = config["MDIMCD"];
-  p.ndimcd = config["NDIMCD"];
-  p.mdimad = config["MDIMAD"];
-  p.ndimbd = config["NDIMBD"];
-  p.kwid = config["KWID"];
-  p.vwmd = config["VWMD"];
-  p.vwnd = config["VWND"];
-  p.pada = config["PADA"];
-  p.padb = config["PADB"];
+  xg::visit_knobs(p, [&](const char* name, auto& field) {
+    field = static_cast<std::remove_reference_t<decltype(field)>>(
+        values.at(name));
+  });
   return p;
 }
 
@@ -105,7 +101,7 @@ inline atf_outcome tune_with_atf(const xg::problem& prob,
   const auto& space = tuner.space();
 
   auto cost = [&](const atf::configuration& config) {
-    const double ns = measure(prob, params_from_config(config), dev, mode);
+    const double ns = measure(prob, xg::params_from(config), dev, mode);
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }
@@ -123,7 +119,7 @@ inline atf_outcome tune_with_atf(const xg::problem& prob,
     out.evaluations += result.evaluations;
     if (result.has_best() && *result.best_cost < best) {
       best = *result.best_cost;
-      out.best = params_from_config(result.best_configuration());
+      out.best = xg::params_from(result.best_configuration());
       out.best_ns = best;
     }
   };
@@ -242,19 +238,7 @@ inline xg::params cltune_device_optimized(const ocls::device& dev) {
   auto tuner = make_clblast_cltune_program(avg, dev);
   tuner.UseFullSearch();
   tuner.Tune();
-  const auto best = tuner.GetBestResult();
-  xg::params p;
-  p.wgd = best.at("WGD");
-  p.mdimcd = best.at("MDIMCD");
-  p.ndimcd = best.at("NDIMCD");
-  p.mdimad = best.at("MDIMAD");
-  p.ndimbd = best.at("NDIMBD");
-  p.kwid = best.at("KWID");
-  p.vwmd = best.at("VWMD");
-  p.vwnd = best.at("VWND");
-  p.pada = best.at("PADA") != 0;
-  p.padb = best.at("PADB") != 0;
-  return p;
+  return params_from_values(tuner.GetBestResult());
 }
 
 struct opentuner_outcome {
@@ -288,17 +272,7 @@ inline opentuner_outcome tune_with_opentuner(const xg::problem& prob,
   const double penalty = 1e15;  // "we report a penalty value" [3]
   const auto limits = xg::device_limits::of(dev.profile());
   auto cost = [&](const baselines::opentuner::configuration& c) {
-    xg::params p;
-    p.wgd = c.at("WGD");
-    p.mdimcd = c.at("MDIMCD");
-    p.ndimcd = c.at("NDIMCD");
-    p.mdimad = c.at("MDIMAD");
-    p.ndimbd = c.at("NDIMBD");
-    p.kwid = c.at("KWID");
-    p.vwmd = c.at("VWMD");
-    p.vwnd = c.at("VWND");
-    p.pada = c.at("PADA") != 0;
-    p.padb = c.at("PADB") != 0;
+    const xg::params p = params_from_values(c);
     if (!xg::valid(prob, p, xg::size_mode::general, limits)) {
       return penalty;
     }
@@ -313,16 +287,7 @@ inline opentuner_outcome tune_with_opentuner(const xg::problem& prob,
   out.valid_evaluations = result.valid_evaluations;
   out.unconstrained_size = tuner.space_size();
   if (result.found_valid) {
-    out.used.wgd = result.best.at("WGD");
-    out.used.mdimcd = result.best.at("MDIMCD");
-    out.used.ndimcd = result.best.at("NDIMCD");
-    out.used.mdimad = result.best.at("MDIMAD");
-    out.used.ndimbd = result.best.at("NDIMBD");
-    out.used.kwid = result.best.at("KWID");
-    out.used.vwmd = result.best.at("VWMD");
-    out.used.vwnd = result.best.at("VWND");
-    out.used.pada = result.best.at("PADA") != 0;
-    out.used.padb = result.best.at("PADB") != 0;
+    out.used = params_from_values(result.best);
   } else {
     out.used = xg::params::defaults();
   }

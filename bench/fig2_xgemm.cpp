@@ -56,17 +56,7 @@ int main() {
         auto program = make_clblast_cltune_program(prob, *dev);
         program.UseFullSearch();
         program.Tune();
-        const auto best = program.GetBestResult();
-        cltune_used.wgd = best.at("WGD");
-        cltune_used.mdimcd = best.at("MDIMCD");
-        cltune_used.ndimcd = best.at("NDIMCD");
-        cltune_used.mdimad = best.at("MDIMAD");
-        cltune_used.ndimbd = best.at("NDIMBD");
-        cltune_used.kwid = best.at("KWID");
-        cltune_used.vwmd = best.at("VWMD");
-        cltune_used.vwnd = best.at("VWND");
-        cltune_used.pada = best.at("PADA") != 0;
-        cltune_used.padb = best.at("PADB") != 0;
+        cltune_used = params_from_values(program.GetBestResult());
       } catch (const baselines::cltune::empty_space&) {
         cltune_space_empty = true;  // fall back to device-optimized values
       }

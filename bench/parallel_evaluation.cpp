@@ -96,7 +96,7 @@ run_stats run(const xg::problem& prob, const ocls::device& dev,
 
   auto cf = atf::cf::pure([&](const atf::configuration& config) {
     const double ns = measure_thread_local(
-        prob, bench::params_from_config(config), dev, xg::size_mode::general);
+        prob, xg::params_from(config), dev, xg::size_mode::general);
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }

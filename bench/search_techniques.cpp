@@ -92,7 +92,7 @@ void gemm_comparison() {
 
   auto cost = [&](const atf::configuration& config) {
     const double ns =
-        measure(prob, params_from_config(config), gpu, xg::size_mode::general);
+        measure(prob, xg::params_from(config), gpu, xg::size_mode::general);
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }

@@ -137,7 +137,7 @@ bool xgemm_comparison() {
   auto cost = [&](const atf::configuration& config) {
     // Failed launches surface as the +infinity penalty and train the
     // surrogate's invalid classifier head.
-    return measure(prob, params_from_config(config), gpu,
+    return measure(prob, xg::params_from(config), gpu,
                    xg::size_mode::general);
   };
   return compare_on("XgemmDirect IS4", make_tuner, cost, 600, /*gated=*/true);

@@ -24,16 +24,14 @@
 
 namespace blasmini {
 
-/// Search techniques tune() can drive. `opentuner` is the AUC-bandit
-/// ensemble (the historical default); `surrogate` the model-guided search —
-/// both reusable by the size-grid dispatcher without touching this layer.
-enum class tune_technique { opentuner, annealing, surrogate, random };
-
 /// Knobs of one tuning run. The defaults reproduce the historical
 /// tune(m, n, k) behaviour exactly: ensemble search, 20'000 evaluations,
 /// seed 1, no session journal (pinned by a regression test).
 struct tune_options {
-  tune_technique technique = tune_technique::opentuner;
+  /// Any atf::kernels::registry::make_technique name; `opentuner` is the
+  /// AUC-bandit ensemble (the historical default), `surrogate` the
+  /// model-guided search.
+  std::string technique = "opentuner";
   std::uint64_t evaluations = 20'000;
   std::uint64_t seed = 1;
   /// Non-empty: attach a crash-safe session journal (DESIGN.md §9) at this

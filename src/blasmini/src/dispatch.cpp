@@ -110,26 +110,14 @@ atf::search::feature_vector rerank_features(const xg::problem& prob,
 std::optional<xg::params> params_from_tuning_record(
     const atf::session::tuning_record& rec) {
   const auto config = rec.to_configuration();
-  const char* const names[] = {"WGD",    "MDIMCD", "NDIMCD", "MDIMAD",
-                               "NDIMBD", "KWID",   "VWMD",   "VWND",
-                               "PADA",   "PADB"};
-  for (const char* name : names) {
-    if (!config.contains(name)) {
-      return std::nullopt;
-    }
+  bool complete = true;
+  xg::visit_knobs(xg::params::defaults(), [&](const char* name, const auto&) {
+    complete = complete && config.contains(name);
+  });
+  if (!complete) {
+    return std::nullopt;
   }
-  xg::params p;
-  p.wgd = config["WGD"];
-  p.mdimcd = config["MDIMCD"];
-  p.ndimcd = config["NDIMCD"];
-  p.mdimad = config["MDIMAD"];
-  p.ndimbd = config["NDIMBD"];
-  p.kwid = config["KWID"];
-  p.vwmd = config["VWMD"];
-  p.vwnd = config["VWND"];
-  p.pada = config["PADA"];
-  p.padb = config["PADB"];
-  return p;
+  return xg::params_from(config);
 }
 
 }  // namespace

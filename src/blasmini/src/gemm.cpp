@@ -1,51 +1,13 @@
 #include "blasmini/gemm.hpp"
 
-#include <cmath>
-#include <memory>
+#include <stdexcept>
+#include <type_traits>
 
-#include "atf/atf.hpp"
-#include "atf/search/opentuner_search.hpp"
-#include "atf/search/random_search.hpp"
-#include "atf/search/simulated_annealing.hpp"
-#include "atf/search/surrogate_search.hpp"
+#include "atf/kernels/registry.hpp"
 
 namespace blasmini {
 
 namespace xg = atf::kernels::xgemm;
-
-namespace {
-
-xg::params params_from_config(const atf::configuration& config) {
-  xg::params p;
-  p.wgd = config["WGD"];
-  p.mdimcd = config["MDIMCD"];
-  p.ndimcd = config["NDIMCD"];
-  p.mdimad = config["MDIMAD"];
-  p.ndimbd = config["NDIMBD"];
-  p.kwid = config["KWID"];
-  p.vwmd = config["VWMD"];
-  p.vwnd = config["VWND"];
-  p.pada = config["PADA"];
-  p.padb = config["PADB"];
-  return p;
-}
-
-std::unique_ptr<atf::search_technique> make_technique(tune_technique which,
-                                                      std::uint64_t seed) {
-  switch (which) {
-    case tune_technique::annealing:
-      return std::make_unique<atf::search::simulated_annealing>(4.0, seed);
-    case tune_technique::surrogate:
-      return std::make_unique<atf::search::surrogate_search>(seed);
-    case tune_technique::random:
-      return std::make_unique<atf::search::random_search>(seed);
-    case tune_technique::opentuner:
-      break;
-  }
-  return std::make_unique<atf::search::opentuner_search>(seed);
-}
-
-}  // namespace
 
 xg::params params_from_record(const record& config) {
   ocls::define_map defines;
@@ -53,33 +15,21 @@ xg::params params_from_record(const record& config) {
     defines.set(name, value);
   }
   xg::params p;  // the defaults; each parameter overridden independently
-  const auto read_uint = [&](const char* name, std::uint64_t& out) {
+  xg::visit_knobs(p, [&](const char* name, auto& field) {
     try {
-      if (defines.contains(name)) {
-        out = defines.get_uint(name);
+      if (!defines.contains(name)) {
+        return;
+      }
+      if constexpr (std::is_same_v<std::remove_reference_t<decltype(field)>,
+                                   bool>) {
+        field = defines.get_bool(name);
+      } else {
+        field = defines.get_uint(name);
       }
     } catch (const ocls::error&) {
       // unparsable value: keep the default
     }
-  };
-  const auto read_bool = [&](const char* name, bool& out) {
-    try {
-      if (defines.contains(name)) {
-        out = defines.get_bool(name);
-      }
-    } catch (const ocls::error&) {
-    }
-  };
-  read_uint("WGD", p.wgd);
-  read_uint("MDIMCD", p.mdimcd);
-  read_uint("NDIMCD", p.ndimcd);
-  read_uint("MDIMAD", p.mdimad);
-  read_uint("NDIMBD", p.ndimbd);
-  read_uint("KWID", p.kwid);
-  read_uint("VWMD", p.vwmd);
-  read_uint("VWND", p.vwnd);
-  read_bool("PADA", p.pada);
-  read_bool("PADB", p.padb);
+  });
   return p;
 }
 
@@ -115,54 +65,38 @@ xg::params gemm_executor::tune(std::size_t m, std::size_t n, std::size_t k,
 
 xg::params gemm_executor::tune(std::size_t m, std::size_t n, std::size_t k,
                                const tune_options& opts) {
-  const xg::problem prob{m, n, k};
-  auto setup = xg::make_tuning_parameters(
-      prob, xg::size_mode::general,
-      xg::device_limits::of(device_.profile()));
-
-  const ocls::kernel kernel = xg::make_kernel();
-  auto ctx = std::make_shared<ocls::context>(device_);
-
-  atf::tuner tuner;
-  tuner.tuning_parameters(setup.group());
-  tuner.search_technique(make_technique(opts.technique, opts.seed));
-  tuner.abort_condition(atf::cond::evaluations(opts.evaluations));
-  tuner.cache_evaluations(true);
-  if (!opts.journal.empty()) {
-    tuner.session(opts.journal);
+  namespace reg = atf::kernels::registry;
+  if (opts.evaluations == 0) {
+    // registry::tune reads a zero budget as "sweep the whole space".
+    throw std::invalid_argument("gemm_executor::tune: evaluations must be > 0");
+  }
+  reg::entry xgemm = *reg::find("xgemm");
+  if (opts.on_measure) {
+    xgemm.make_cost = [on_measure = opts.on_measure, make = xgemm.make_cost](
+                          const reg::input_size& size,
+                          const ocls::device& dev) {
+      return [on_measure, cost = make(size, dev)](
+                 const atf::configuration& config) {
+        on_measure();
+        return cost(config);
+      };
+    };
+  }
+  const reg::tune_outcome outcome =
+      reg::tune(xgemm, {{m, n, k}}, device_,
+                {opts.technique, opts.evaluations, opts.seed, opts.journal});
+  if (outcome.best.empty()) {
+    throw std::runtime_error("gemm_executor::tune: no valid configuration");
   }
 
-  auto measure_params = [&](const xg::params& p) {
-    ocls::command_queue queue(ctx);
-    return queue
-        .launch(kernel, xg::launch_range(prob, p, xg::size_mode::general),
-                {}, xg::make_defines(prob, p))
-        .profile_ns();
-  };
-
-  auto result = tuner.tune([&](const atf::configuration& config) {
-    if (opts.on_measure) {
-      opts.on_measure();
-    }
-    const xg::params p = params_from_config(config);
-    ocls::command_queue queue(ctx);
-    try {
-      return queue
-          .launch(kernel, xg::launch_range(prob, p, xg::size_mode::general),
-                  {}, xg::make_defines(prob, p))
-          .profile_ns();
-    } catch (const ocls::error& error) {
-      throw atf::evaluation_error(error.what());
-    }
-  });
-
-  xg::params p = params_from_config(result.best_configuration());
+  const xg::problem prob{m, n, k};
+  xg::params p = xg::params_from(outcome.best);
   // A tuned library must never regress below its shipped defaults: if the
   // search budget was too small to beat them, keep the defaults (the same
   // guard CLBlast applies when adopting tuner output).
   if (xg::valid(prob, xg::params::defaults(), xg::size_mode::general,
                 xg::device_limits::of(device_.profile())) &&
-      measure_params(xg::params::defaults()) < *result.best_cost) {
+      modeled_time_ns(m, n, k, xg::params::defaults()) < outcome.best_ns) {
     p = xg::params::defaults();
   }
   if (db_ != nullptr) {

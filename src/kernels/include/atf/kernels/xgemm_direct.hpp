@@ -31,10 +31,13 @@
 //       host code (paper, Section VI-A).
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
+#include "atf/configuration.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -75,6 +78,28 @@ struct params {
   void to_defines(ocls::define_map& defines) const;
   [[nodiscard]] std::string to_string() const;
 };
+
+/// Calls visit(name, field) once per knob, in declaration order — the one
+/// place that maps the ten knob names onto params fields. `p` may be const
+/// or a temporary.
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("WGD", p.wgd);
+  visit("MDIMCD", p.mdimcd);
+  visit("NDIMCD", p.ndimcd);
+  visit("MDIMAD", p.mdimad);
+  visit("NDIMBD", p.ndimbd);
+  visit("KWID", p.kwid);
+  visit("VWMD", p.vwmd);
+  visit("VWND", p.vwnd);
+  visit("PADA", p.pada);
+  visit("PADB", p.padb);
+}
+
+/// Decodes a configuration of the tuning parameters below. Throws
+/// std::out_of_range when a knob is missing.
+[[nodiscard]] params params_from(const atf::configuration& config);
 
 /// How the launch geometry treats matrix extents that WGD does not divide.
 enum class size_mode {

@@ -158,21 +158,6 @@ conv2d::params conv_params(const atf::configuration& c) {
   return p;
 }
 
-xgemm::params xgemm_params(const atf::configuration& c) {
-  xgemm::params p;
-  p.wgd = c["WGD"];
-  p.mdimcd = c["MDIMCD"];
-  p.ndimcd = c["NDIMCD"];
-  p.mdimad = c["MDIMAD"];
-  p.ndimbd = c["NDIMBD"];
-  p.kwid = c["KWID"];
-  p.vwmd = c["VWMD"];
-  p.vwnd = c["VWND"];
-  p.pada = c["PADA"];
-  p.padb = c["PADB"];
-  return p;
-}
-
 // ---- family adapters -------------------------------------------------------
 
 entry saxpy_entry() {
@@ -333,7 +318,7 @@ entry xgemm_entry() {
     const ocls::kernel k = xgemm::make_kernel();
     return std::function<double(const atf::configuration&)>(
         [queue, k, prob](const atf::configuration& c) {
-          const xgemm::params p = xgemm_params(c);
+          const xgemm::params p = xgemm::params_from(c);
           return model_launch(
               *queue, k,
               xgemm::launch_range(prob, p, xgemm::size_mode::general),
@@ -359,7 +344,7 @@ entry xgemm_entry() {
     auto ab = std::make_shared<ocls::buffer<float>>(a);
     auto bb = std::make_shared<ocls::buffer<float>>(b);
     auto cb = std::make_shared<ocls::buffer<float>>(expected.size());
-    const xgemm::params p = xgemm_params(c);
+    const xgemm::params p = xgemm::params_from(c);
     (void)queue.launch(
         xgemm::make_kernel(),
         xgemm::launch_range(prob, p, xgemm::size_mode::general),

@@ -30,30 +30,29 @@ problem caffe_input_size(int index) {
 
 params params::from_defines(const ocls::define_map& defines) {
   params p;
-  p.wgd = defines.get_uint("WGD");
-  p.mdimcd = defines.get_uint("MDIMCD");
-  p.ndimcd = defines.get_uint("NDIMCD");
-  p.mdimad = defines.get_uint("MDIMAD");
-  p.ndimbd = defines.get_uint("NDIMBD");
-  p.kwid = defines.get_uint("KWID");
-  p.vwmd = defines.get_uint("VWMD");
-  p.vwnd = defines.get_uint("VWND");
-  p.pada = defines.get_bool("PADA");
-  p.padb = defines.get_bool("PADB");
+  visit_knobs(p, [&](const char* name, auto& field) {
+    if constexpr (std::is_same_v<std::remove_reference_t<decltype(field)>,
+                                 bool>) {
+      field = defines.get_bool(name);
+    } else {
+      field = defines.get_uint(name);
+    }
+  });
   return p;
 }
 
 void params::to_defines(ocls::define_map& defines) const {
-  defines.set("WGD", wgd);
-  defines.set("MDIMCD", mdimcd);
-  defines.set("NDIMCD", ndimcd);
-  defines.set("MDIMAD", mdimad);
-  defines.set("NDIMBD", ndimbd);
-  defines.set("KWID", kwid);
-  defines.set("VWMD", vwmd);
-  defines.set("VWND", vwnd);
-  defines.set("PADA", pada);
-  defines.set("PADB", padb);
+  visit_knobs(*this, [&](const char* name, const auto& field) {
+    defines.set(name, field);
+  });
+}
+
+params params_from(const atf::configuration& config) {
+  params p;
+  visit_knobs(p, [&](const char* name, auto& field) {
+    field = config.get<std::remove_reference_t<decltype(field)>>(name);
+  });
+  return p;
 }
 
 std::string params::to_string() const {

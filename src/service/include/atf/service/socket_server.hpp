@@ -12,6 +12,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -27,6 +28,12 @@ namespace atf::service {
 class socket_server {
 public:
   using handler = std::function<std::string(const std::string& line)>;
+
+  /// Longest request line accepted, newline excluded. Real requests are
+  /// under 200 bytes; a connection whose pending line outgrows this gets
+  /// one {"ok":false,...} reply and is closed, so a client that never
+  /// sends '\n' cannot grow the daemon's memory without bound.
+  static constexpr std::size_t max_line_bytes = 1 << 20;
 
   /// Does not bind yet; start() does.
   socket_server(std::string socket_path, handler handle);

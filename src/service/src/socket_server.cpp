@@ -112,6 +112,7 @@ void socket_server::accept_loop() {
 
 void socket_server::serve_connection(connection* conn) {
   std::string buffer;
+  std::size_t scanned = 0;  // prefix of `buffer` known to hold no newline
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::read(conn->fd, chunk, sizeof(chunk));
@@ -123,21 +124,28 @@ void socket_server::serve_connection(connection* conn) {
     }
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
-    for (;;) {
-      const std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) {
-        break;
-      }
+    std::size_t newline = 0;
+    bool writable = true;
+    while (writable &&
+           (newline = buffer.find('\n', scanned)) != std::string::npos) {
       const std::string reply =
           handle_(buffer.substr(start, newline - start)) + "\n";
-      start = newline + 1;
-      if (!write_all(conn->fd, reply.data(), reply.size())) {
-        buffer.clear();
-        start = 0;
-        break;
-      }
+      start = scanned = newline + 1;
+      writable = write_all(conn->fd, reply.data(), reply.size());
+    }
+    if (!writable) {
+      break;  // the client is gone
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (buffer.size() > max_line_bytes) {
+      const std::string reply =
+          R"({"ok":false,"error":"request line longer than )" +
+          std::to_string(max_line_bytes) + R"( bytes"})" "\n";
+      (void)write_all(conn->fd, reply.data(), reply.size());
+      ::shutdown(conn->fd, SHUT_RDWR);
+      break;
+    }
   }
   // The fd is closed by the reaper (or stop()), not here: closing it now
   // would let the kernel reuse the number while stop() may still be about

@@ -16,6 +16,7 @@
 //     or produced by other tooling should not abort a resume).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -120,8 +121,14 @@ public:
   using std::runtime_error::runtime_error;
 };
 
+/// Deepest array/object nesting parse() accepts. The parser recurses once
+/// per level, so a bound keeps hostile input (a socket line of "[[[[...")
+/// from exhausting the stack; real documents nest two or three levels.
+inline constexpr std::size_t max_nesting_depth = 256;
+
 /// Parses one complete JSON document; trailing garbage is an error (a
-/// journal line must be exactly one object). Throws parse_error.
+/// journal line must be exactly one object). Throws parse_error, also for
+/// nesting deeper than max_nesting_depth.
 [[nodiscard]] value parse(std::string_view text);
 
 }  // namespace atf::session::json

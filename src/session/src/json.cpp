@@ -188,8 +188,15 @@ private:
     skip_whitespace();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > max_nesting_depth) {
+          fail("nesting deeper than " + std::to_string(max_nesting_depth));
+        }
+        value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return value(parse_string());
       case 't':
         if (consume_literal("true")) {
@@ -397,6 +404,7 @@ private:
 
   std::string_view text_;
   std::size_t at_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at at_
 };
 
 }  // namespace

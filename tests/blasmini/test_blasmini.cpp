@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -218,7 +219,7 @@ TEST(GemmExecutor, TuneOptionsDefaultsReproduceLegacyOverload) {
 
   const auto p_legacy = legacy.tune(m, n, k, /*evaluations=*/800, /*seed=*/7);
   blasmini::tune_options opts;
-  EXPECT_EQ(opts.technique, blasmini::tune_technique::opentuner);
+  EXPECT_EQ(opts.technique, "opentuner");
   EXPECT_EQ(opts.evaluations, 20'000u);
   EXPECT_EQ(opts.seed, 1u);
   EXPECT_TRUE(opts.journal.empty());
@@ -239,7 +240,7 @@ TEST(GemmExecutor, TuneOptionsSelectsTechniqueAndCallsOnMeasure) {
   blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), &db);
 
   blasmini::tune_options opts;
-  opts.technique = blasmini::tune_technique::random;
+  opts.technique = "random";
   opts.evaluations = 50;
   opts.seed = 11;
   std::size_t measured = 0;
@@ -253,11 +254,23 @@ TEST(GemmExecutor, TuneOptionsSelectsTechniqueAndCallsOnMeasure) {
                         xg::device_limits::of(gemm.device().profile())));
   // Different techniques under the same seed explore different streams —
   // annealing is driven off the same options without recompiling callers.
-  opts.technique = blasmini::tune_technique::annealing;
+  opts.technique = "annealing";
   measured = 0;
   EXPECT_NO_THROW((void)gemm.tune(m, n, k, opts));
   EXPECT_GE(measured, 1u);
   EXPECT_LE(measured, 50u);
+}
+
+TEST(GemmExecutor, TuneRejectsZeroBudgetAndUnknownTechnique) {
+  // The registry driver reads a zero budget as "sweep the whole space"; a
+  // GEMM tune refuses it instead of silently running an exhaustive sweep.
+  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"));
+  blasmini::tune_options opts;
+  opts.evaluations = 0;
+  EXPECT_THROW((void)gemm.tune(8, 8, 8, opts), std::invalid_argument);
+  opts.evaluations = 10;
+  opts.technique = "banana";
+  EXPECT_THROW((void)gemm.tune(8, 8, 8, opts), std::invalid_argument);
 }
 
 TEST(GemmExecutor, ResultsIdenticalAcrossConfigurations) {

@@ -8,15 +8,20 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "atf/service/client.hpp"
+#include "atf/service/socket_server.hpp"
 
 #ifndef ATF_SERVED_BINARY
 #error "ATF_SERVED_BINARY must be defined by the build system"
@@ -55,8 +60,8 @@ protected:
     std::filesystem::remove_all(dir_);
   }
 
-  /// Launches the daemon and waits until it answers a ping.
-  void start_daemon(const std::vector<std::string>& extra_args = {}) {
+  /// Forks and execs the daemon; its stderr goes to dir_/daemon.log.
+  pid_t spawn_daemon(const std::vector<std::string>& extra_args) {
     std::vector<std::string> args = {ATF_SERVED_BINARY,
                                      "--socket",      socket_,
                                      "--journal-dir", journals_,
@@ -64,9 +69,8 @@ protected:
                                      "--refine-step", "30"};
     args.insert(args.end(), extra_args.begin(), extra_args.end());
 
-    daemon_pid_ = fork();
-    ASSERT_GE(daemon_pid_, 0);
-    if (daemon_pid_ == 0) {
+    const pid_t pid = fork();
+    if (pid == 0) {
       std::vector<char*> argv;
       for (auto& arg : args) {
         argv.push_back(arg.data());
@@ -77,6 +81,13 @@ protected:
       execv(ATF_SERVED_BINARY, argv.data());
       _exit(127);
     }
+    return pid;
+  }
+
+  /// Launches the daemon and waits until it answers a ping.
+  void start_daemon(const std::vector<std::string>& extra_args = {}) {
+    daemon_pid_ = spawn_daemon(extra_args);
+    ASSERT_GE(daemon_pid_, 0);
     for (int i = 0; i < 300; ++i) {
       try {
         service_client client(socket_);
@@ -194,6 +205,115 @@ TEST_F(ServedE2eTest, RegistryKernelMissRefineHitAndRestart) {
   EXPECT_TRUE(rejected.unrefinable);
   // The validate() reason rides in the raw reply line's "reason" field.
   EXPECT_NE(rejected.raw.find("HxWxR"), std::string::npos) << rejected.raw;
+}
+
+// Golden pin: exactly one refinement pass of xgemm 64x64x64 on K20m under
+// --technique random --seed 24301 --refine-step 30 serves these bytes. The
+// values were recorded when xgemm still had its own tune driver; they pin
+// that xgemm, refined through the kernel registry, answers identically.
+TEST_F(ServedE2eTest, GoldenXgemmReplyAfterOneRefine) {
+  start_daemon({"--seed", "24301"});
+  const service_key key = xgemm_key("64x64x64");
+  {
+    service_client client(socket_);
+    ASSERT_TRUE(client.get(key).enqueued);
+    // Poll stats, not get: a get miss would enqueue a second pass.
+    std::uint64_t passes = 0;
+    for (int i = 0; i < 600 && passes == 0; ++i) {
+      const auto stats = client.stats();
+      passes = stats.counters.at("refines") +
+               stats.counters.at("failed_refines");
+      if (passes == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      }
+    }
+    ASSERT_EQ(passes, 1u);
+  }
+  EXPECT_EQ(stop_daemon(), 0);
+
+  start_daemon({"--no-refiner"});
+  service_client client(socket_);
+  const auto reply = client.get(key);
+  ASSERT_TRUE(reply.hit) << reply.raw;
+  EXPECT_EQ(reply.hash, "8791d9a10d9d150e");
+  EXPECT_NE(reply.raw.find("\"scalar\":6508.9152651773238,"),
+            std::string::npos)
+      << reply.raw;
+  EXPECT_EQ(reply.configs, 30u);
+  EXPECT_EQ(reply.raw,
+            "{\"ok\":true,\"op\":\"get\",\"key\":\"xgemm/K20m/64x64x64\","
+            "\"hit\":true,\"hash\":\"8791d9a10d9d150e\","
+            "\"scalar\":6508.9152651773238,\"config\":{\"WGD\":\"64\","
+            "\"MDIMCD\":\"32\",\"NDIMCD\":\"8\",\"MDIMAD\":\"2\","
+            "\"NDIMBD\":\"4\",\"KWID\":\"8\",\"VWMD\":\"2\",\"VWND\":\"1\","
+            "\"PADA\":\"true\",\"PADB\":\"true\"},\"configs\":30}");
+}
+
+// --technique is checked once at start-up against the registry's technique
+// factory: an unknown name exits 1 and the message lists the valid set.
+TEST_F(ServedE2eTest, UnknownTechniqueExitsNamingTheValidSet) {
+  const pid_t pid = spawn_daemon({"--technique", "banana"});
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  const std::string log = slurp(dir_ + "/daemon.log");
+  EXPECT_NE(log.find("'banana'"), std::string::npos) << log;
+  EXPECT_NE(log.find("exhaustive|annealing|opentuner|surrogate|random"),
+            std::string::npos)
+      << log;
+}
+
+TEST_F(ServedE2eTest, ExhaustiveTechniqueStartsAndServes) {
+  start_daemon({"--technique", "exhaustive"});
+  const std::string hit = wait_for_hit(xgemm_key("8x8x8"));
+  EXPECT_NE(hit.find("\"hit\":true"), std::string::npos);
+  EXPECT_EQ(stop_daemon(), 0);
+}
+
+// A client that streams megabytes without a newline gets one error line and
+// is disconnected once its pending line passes socket_server::max_line_bytes;
+// the daemon keeps serving everyone else.
+TEST_F(ServedE2eTest, OverlongRequestLineIsRefusedAndTheDaemonKeepsServing) {
+  start_daemon({"--no-refiner"});
+  const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                    sizeof(addr)),
+            0);
+  // Without the cap the daemon would never reply; don't hang on that.
+  timeval timeout{};
+  timeout.tv_sec = 20;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+
+  const std::string junk(64 * 1024, 'x');
+  std::size_t sent = 0;
+  while (sent < (std::size_t{4} << 20)) {
+    const ssize_t n = send(fd, junk.data(), junk.size(), MSG_NOSIGNAL);
+    if (n <= 0) {
+      break;  // the daemon hung up on us
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  std::string reply;
+  char c = 0;
+  while (read(fd, &c, 1) == 1 && c != '\n') {
+    reply += c;
+  }
+  close(fd);
+  EXPECT_GT(sent, atf::service::socket_server::max_line_bytes);
+  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+
+  service_client client(socket_);
+  EXPECT_TRUE(client.ping());
+  const auto answer = client.get(xgemm_key("8x8x8"));
+  EXPECT_TRUE(answer.ok) << answer.raw;
+  EXPECT_EQ(stop_daemon(), 0);
 }
 
 TEST_F(ServedE2eTest, UnrefinableKeysAreReportedNotQueued) {

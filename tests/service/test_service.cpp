@@ -284,6 +284,15 @@ TEST_F(ServiceTest, MalformedLinesAreCountedAndAnswered) {
   EXPECT_EQ(service.stats().malformed, 1u);
 }
 
+TEST_F(ServiceTest, DeeplyNestedLineIsMalformedNotACrash) {
+  tuning_service service(options(), appending_refiner());
+  service.load();
+  const std::string reply = service.handle_line(std::string(1'000'000, '['));
+  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+  EXPECT_NE(reply.find("nesting"), std::string::npos) << reply;
+  EXPECT_EQ(service.stats().malformed, 1u);
+}
+
 TEST_F(ServiceTest, BackgroundRefinerServesMissesEventually) {
   tuning_service service(options(), appending_refiner());
   service.load();

@@ -78,6 +78,25 @@ atf::configuration make_config() {
   return config;
 }
 
+TEST(SessionJson, RejectsHostileNestingWithoutRecursingIntoIt) {
+  // A million open brackets would overflow the stack of an unbounded
+  // recursive-descent parser; the depth limit turns it into parse_error.
+  EXPECT_THROW((void)json::parse(std::string(1'000'000, '[')),
+               json::parse_error);
+  std::string objects;
+  for (int i = 0; i < 100'000; ++i) {
+    objects += R"({"a":)";
+  }
+  EXPECT_THROW((void)json::parse(objects), json::parse_error);
+  // Exactly at the limit still parses; one level more does not.
+  const std::size_t limit = json::max_nesting_depth;
+  EXPECT_NO_THROW((void)json::parse(std::string(limit, '[') +
+                                    std::string(limit, ']')));
+  EXPECT_THROW((void)json::parse(std::string(limit + 1, '[') +
+                                 std::string(limit + 1, ']')),
+               json::parse_error);
+}
+
 TEST(ConfigurationHash, IsIndependentOfEntryOrder) {
   atf::configuration reordered;
   reordered.add("ALPHA", atf::to_tp_value<double>(0.25));

@@ -2,22 +2,21 @@
 //
 //   atf_served --socket /tmp/atf.sock --journal-dir ./journals \
 //              [--device K20m] [--technique opentuner|annealing|surrogate|
-//              random] [--refine-step N] [--seed N] [--max-pending N]
-//              [--batch N] [--merge-from DIR] [--compact-on-start]
-//              [--compact-on-exit] [--no-refiner]
+//              random|exhaustive] [--refine-step N] [--seed N]
+//              [--max-pending N] [--batch N] [--merge-from DIR]
+//              [--compact-on-start] [--compact-on-exit] [--no-refiner]
 //
 // Answers "best configuration for (kernel, device, size)" over a Unix
 // domain socket: one JSON request line in, one JSON reply line out (see
 // atf/service/protocol.hpp). Hits are served lock-free from an immutable
 // snapshot rebuilt from per-key crash-safe journals; misses go on a
 // bounded dedup queue drained by a background thread that runs a
-// journaled, warm-started tune on the simulated device. 'xgemm' keys keep
-// the original blasmini XgemmDirect backend; every other kernel-registry
-// family (saxpy, reduce, conv2d, stencil2d, spmv, batched_gemm, ...) is
-// refined through atf::kernels::registry::tune with the same progressive
-// budget and per-key seeds. Every
-// answer the daemon ever gives survives SIGKILL: restart with the same
-// --journal-dir and the same queries return bit-identical reply lines.
+// journaled, warm-started tune on the simulated device. Every kernel-registry
+// family (xgemm, saxpy, reduce, conv2d, stencil2d, spmv, batched_gemm, ...)
+// is refined through atf::kernels::registry::tune with the same progressive
+// budget and per-key seeds. Every answer the daemon ever gives survives
+// SIGKILL: restart with the same --journal-dir and the same queries return
+// bit-identical reply lines.
 //
 //   --refine-step N     fresh evaluations added per refinement pass; each
 //                       pass resumes the key's journal, so repeated misses
@@ -50,7 +49,6 @@
 #include "atf/service/service.hpp"
 #include "atf/service/socket_server.hpp"
 #include "atf/session/journal.hpp"
-#include "blasmini/gemm.hpp"
 #include "ocls/ocls.hpp"
 
 namespace {
@@ -75,7 +73,7 @@ void usage(const char* argv0) {
       stderr,
       "usage: %s --socket PATH --journal-dir DIR\n"
       "          [--device NAME] [--technique opentuner|annealing|surrogate|"
-      "random]\n"
+      "random|exhaustive]\n"
       "          [--refine-step N] [--seed N] [--max-pending N] [--batch N]\n"
       "          [--merge-from DIR] [--compact-on-start] [--compact-on-exit]\n"
       "          [--no-refiner]\n",
@@ -155,44 +153,6 @@ std::optional<served_options> parse_cli(int argc, char** argv) {
   return opts;
 }
 
-/// "MxNxK" with strictly positive components; nullopt on anything else.
-struct gemm_shape {
-  std::size_t m = 0, n = 0, k = 0;
-};
-
-std::optional<gemm_shape> parse_shape(const std::string& size) {
-  gemm_shape shape;
-  std::size_t* fields[3] = {&shape.m, &shape.n, &shape.k};
-  const char* cursor = size.c_str();
-  for (int i = 0; i < 3; ++i) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long value = std::strtoull(cursor, &end, 10);
-    if (end == cursor || *cursor == '-' || errno == ERANGE || value == 0) {
-      return std::nullopt;
-    }
-    *fields[i] = static_cast<std::size_t>(value);
-    cursor = end;
-    if (i < 2) {
-      if (*cursor != 'x') {
-        return std::nullopt;
-      }
-      ++cursor;
-    }
-  }
-  if (*cursor != '\0') {
-    return std::nullopt;
-  }
-  return shape;
-}
-
-blasmini::tune_technique technique_from(const std::string& name) {
-  if (name == "annealing") return blasmini::tune_technique::annealing;
-  if (name == "surrogate") return blasmini::tune_technique::surrogate;
-  if (name == "random") return blasmini::tune_technique::random;
-  return blasmini::tune_technique::opentuner;
-}
-
 std::string known_kernel_names() {
   std::string joined;
   for (const auto& name : atf::kernels::registry::names()) {
@@ -230,10 +190,10 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 1;
   }
-  if (opts->technique != "opentuner" && opts->technique != "annealing" &&
-      opts->technique != "surrogate" && opts->technique != "random") {
-    std::fprintf(stderr, "atf_served: unknown technique '%s'\n",
-                 opts->technique.c_str());
+  try {
+    (void)atf::kernels::registry::make_technique(opts->technique, 0);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "atf_served: %s\n", error.what());
     return 1;
   }
 
@@ -243,18 +203,14 @@ int main(int argc, char** argv) {
     // The refine backend: a journaled, warm-started tune on the simulated
     // device. The budget is progressive — existing journal records plus one
     // refine step — so every pass deepens the search and a restarted daemon
-    // continues where the killed one stopped. 'xgemm' keeps the original
-    // blasmini executor (warm-started per-shape program cache); every other
-    // registry family goes through the generic registry::tune driver.
+    // continues where the killed one stopped.
     ocls::device device = ocls::find_device("", opts->device);
     const std::string device_name = device.name();
-    const blasmini::tune_technique technique =
-        technique_from(opts->technique);
     const std::string technique_name = opts->technique;
     const std::uint64_t base_seed = opts->seed;
     const std::uint64_t refine_step = opts->refine_step;
 
-    auto refine = [device, technique, technique_name, base_seed, refine_step](
+    auto refine = [device, technique_name, base_seed, refine_step](
                       const atf::service::service_key& key,
                       const std::string& journal_path) {
       const std::size_t existing =
@@ -263,21 +219,6 @@ int main(int argc, char** argv) {
       // the same key resumes identically after a restart.
       const std::uint64_t key_seed =
           base_seed ^ atf::common::fnv1a(key.to_string());
-
-      if (key.kernel == "xgemm") {
-        const auto shape = parse_shape(key.size);
-        if (!shape.has_value()) {
-          return false;  // validate() should have rejected this
-        }
-        blasmini::tune_options topts;
-        topts.technique = technique;
-        topts.evaluations = existing + refine_step;
-        topts.seed = key_seed;
-        topts.journal = journal_path;
-        blasmini::gemm_executor gemm(device);
-        gemm.tune(shape->m, shape->n, shape->k, topts);
-        return true;
-      }
 
       const auto* family = atf::kernels::registry::find(key.kernel);
       if (family == nullptr) {
@@ -299,10 +240,8 @@ int main(int argc, char** argv) {
 
     auto validate = [device, device_name](
                         const atf::service::service_key& key) -> std::string {
-      const auto* family = key.kernel == "xgemm"
-                               ? nullptr
-                               : atf::kernels::registry::find(key.kernel);
-      if (key.kernel != "xgemm" && family == nullptr) {
+      const auto* family = atf::kernels::registry::find(key.kernel);
+      if (family == nullptr) {
         return "unknown kernel '" + key.kernel + "' (this daemon tunes: " +
                known_kernel_names() + ")";
       }
@@ -314,13 +253,7 @@ int main(int argc, char** argv) {
         return "foreign device '" + key.device + "' (this daemon tunes '" +
                device_name + "')";
       }
-      if (key.kernel == "xgemm") {
-        if (!parse_shape(key.size).has_value()) {
-          return "malformed size '" + key.size + "' (expected MxNxK, all > 0)";
-        }
-        return {};
-      }
-      // Registry families validate through their own space builder: wrong
+      // Each family validates through its own space builder: wrong
       // dimension counts and degenerate extents are rejected here, before
       // the key can occupy a refinement slot.
       try {

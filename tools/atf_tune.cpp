@@ -19,6 +19,9 @@
 //            [--technique opentuner|annealing|surrogate|random] \
 //            [--evaluations N] [--seed N]
 //
+// The grid is tuned through the kernel registry's xgemm family, the same
+// driver as kernel registry mode below.
+//
 // Kernel registry mode (DESIGN.md §14): tune any registered kernel family
 // on a simulated device and verify the winner against the family's scalar
 // reference:
@@ -48,10 +51,6 @@
 #include "atf/cf/program.hpp"
 #include "atf/common/string_utils.hpp"
 #include "atf/kernels/registry.hpp"
-#include "atf/search/opentuner_search.hpp"
-#include "atf/search/random_search.hpp"
-#include "atf/search/simulated_annealing.hpp"
-#include "atf/search/surrogate_search.hpp"
 #include "atf/service/client.hpp"
 #include "blasmini/dispatch.hpp"
 
@@ -154,9 +153,9 @@ void usage(const char* argv0) {
       "       %s --size-grid \"32,128x32,128x32,64\" --db tuning.tsv\n"
       "          [--device NAME] [--journal-dir DIR] [--technique T]\n"
       "          [--evaluations N] [--seed N]\n"
-      "  Grid-tunes the built-in XgemmDirect kernel over the size grid on a\n"
-      "  simulated device and stores the winners in the tuning database\n"
-      "  (loaded first if it exists, so runs accumulate). --journal-dir\n"
+      "  Grid-tunes the registry's xgemm family (XgemmDirect) over the size\n"
+      "  grid on a simulated device and stores the winners in the tuning\n"
+      "  database (loaded first if it exists, so runs accumulate). --journal-dir\n"
       "  makes the grid tune crash-safe and warm-startable.\n"
       "\n"
       "Kernel registry mode (tunes a registered kernel family):\n"
@@ -360,6 +359,18 @@ void print_registry(std::FILE* out) {
   }
 }
 
+/// True when the registry's technique factory knows `name`; otherwise
+/// explains on stderr (naming the valid set).
+bool known_technique(const std::string& name) {
+  try {
+    (void)atf::kernels::registry::make_technique(name, 0);
+    return true;
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "atf_tune: %s\n", error.what());
+    return false;
+  }
+}
+
 /// Kernel registry mode: tune one registered family, verify the winner
 /// against the family reference, print it. Exit codes: 0 success, 1 error
 /// or reference mismatch, 2 unknown kernel / no valid configuration.
@@ -427,17 +438,11 @@ int run_registry_mode(const cli_options& opts) {
 /// GEMM grid mode: grid-tune XgemmDirect over the size grid and persist the
 /// winners; accumulates into an existing database.
 int run_size_grid_mode(const cli_options& opts) {
-  blasmini::tune_technique technique = blasmini::tune_technique::opentuner;
-  if (opts.technique == "annealing") {
-    technique = blasmini::tune_technique::annealing;
-  } else if (opts.technique == "surrogate") {
-    technique = blasmini::tune_technique::surrogate;
-  } else if (opts.technique == "random") {
-    technique = blasmini::tune_technique::random;
-  } else if (opts.technique != "opentuner" &&
-             opts.technique != "exhaustive") {  // exhaustive = the default
-    std::fprintf(stderr, "atf_tune: unknown technique '%s'\n",
-                 opts.technique.c_str());
+  // The CLI default 'exhaustive' means "no choice made": grid mode's
+  // default is the ensemble search.
+  const std::string technique =
+      opts.technique == "exhaustive" ? "opentuner" : opts.technique;
+  if (!known_technique(technique)) {
     return 1;
   }
 
@@ -630,23 +635,11 @@ int main(int argc, char** argv) {
   }
   tuner.space_storage(storage);
 
-  if (opts->technique == "annealing") {
-    tuner.search_technique(
-        std::make_unique<atf::search::simulated_annealing>(4.0, opts->seed));
-  } else if (opts->technique == "opentuner") {
-    tuner.search_technique(
-        std::make_unique<atf::search::opentuner_search>(opts->seed));
-  } else if (opts->technique == "surrogate") {
-    tuner.search_technique(
-        std::make_unique<atf::search::surrogate_search>(opts->seed));
-  } else if (opts->technique == "random") {
-    tuner.search_technique(
-        std::make_unique<atf::search::random_search>(opts->seed));
-  } else if (opts->technique != "exhaustive") {
-    std::fprintf(stderr, "atf_tune: unknown technique '%s'\n",
-                 opts->technique.c_str());
+  if (!known_technique(opts->technique)) {
     return 1;
   }
+  tuner.search_technique(
+      atf::kernels::registry::make_technique(opts->technique, opts->seed));
 
   atf::abort_condition abort;
   if (opts->evaluations.has_value()) {
