@@ -1,13 +1,13 @@
 // Memory-capped smoke run of the lazy space-storage backend.
 //
 // Builds a divides-chain space with >10^8 valid configurations — about
-// 3 GB of nodes if materialized as dense CSR — and runs a fixed-seed
-// random-search tuning pass with the lazy backend, which keeps only
-// per-chunk summaries and regenerates chunk subtrees on demand into a
-// bounded LRU cache. Asserts that
+// 530 MiB of nodes if materialized as dense CSR — and runs a fixed-seed
+// random-search tuning pass with the lazy backend, which keeps only the
+// chunk table and regenerates chunk subtrees on demand into a bounded LRU
+// cache. Asserts that
 //
 //   * the run completes and measures every budgeted evaluation,
-//   * peak RSS stays under a cap (default 768 MiB) that the dense
+//   * peak RSS stays under a cap (384 MiB) that the dense
 //     representation provably exceeds (projected dense bytes are computed
 //     from the logical node count and checked against the cap),
 //
@@ -88,9 +88,11 @@ int main(int argc, char** argv) {
   const auto& space = tuner.space();
   const std::uint64_t configs = space.size();
   const std::uint64_t nodes = space.node_count();
-  // What dense CSR storage would hold: 24 bytes per node
-  // (u32 value_index + u64 child_begin + u32 child_count + u64 leaf_count).
-  const std::size_t projected_dense_bytes = nodes * 24;
+  // What dense CSR storage would hold: 24 bytes per inner node (u32
+  // value_index + u64 child_begin + u32 child_count + u64 leaf_count) and
+  // 4 bytes per leaf, which stores only its u32 value_index.
+  const std::size_t projected_dense_bytes =
+      (nodes - configs) * 24 + configs * 4;
   const auto mb = [](std::size_t bytes) {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
   };
@@ -118,7 +120,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
   if (!small) {
-    const std::size_t rss_cap = std::size_t{768} << 20;
+    const std::size_t rss_cap = std::size_t{384} << 20;
     if (projected_dense_bytes <= rss_cap) {
       std::printf("ERROR: dense projection %.2f MB does not exceed the "
                   "%.0f MB cap — the cap proves nothing\n",

@@ -3,27 +3,32 @@
 // The tree's access algorithms (path_of, values_at, apply, random_neighbor)
 // only ever read one node at a time — value index, child span, leaf count —
 // so the *representation* of the CSR levels is swappable behind a small
-// cursor interface without touching any index-based consumer. Three
-// backends trade memory for regeneration work:
+// cursor interface without touching any index-based consumer.
 //
-//   dense   today's CSR vectors, unchanged semantics — the bit-identity
-//           reference every other backend is tested against.
-//   packed  the same CSR levels bit-packed to the minimal uniform width per
-//           array (atf/common/bitpack.hpp). Leaf levels collapse almost
-//           entirely (child_begin/child_count are all zero, leaf_count is
-//           all ones), so trees shrink 3-8x with O(1) reads.
-//   lazy    no nodes at all: only per-chunk summaries ([root_lo, root_hi)
-//           root spans with leaf/node counts) survive generation. Chunk
-//           subtrees are regenerated on demand — constraint evaluation is
-//           deterministic, so re-expansion reproduces the chunk bit-exactly
-//           — into a bounded LRU cache. Peak memory scales with the cache
-//           budget, not the space, which is what lets the tuner address
-//           spaces that never fit in RAM (ROADMAP: billion-configuration
-//           spaces).
+// Generation expands the root range in contiguous chunks, and no backend
+// ever concatenates them: every backend keeps one shared *chunk table* —
+// per-chunk leaf and per-level node prefix sums, in root-value order — that
+// translates between the global dense node numbering and chunk-local ids.
+// Leaf levels store only value indices (a leaf has no children and one
+// leaf). Three backends trade memory for regeneration work:
 //
-// Random access stays O(depth x branching) in every backend: the lazy
-// cursor jumps straight to the owning chunk via leaf-count prefix sums
-// instead of scanning the root level from node 0.
+//   dense   each chunk's CSR levels exactly as generation produced them —
+//           the bit-identity reference every other backend is tested
+//           against.
+//   packed  each chunk's levels bit-packed to the minimal uniform width per
+//           array (atf/common/bitpack.hpp), by the worker that expanded the
+//           chunk; O(1) reads.
+//   lazy    no nodes at all: only the chunk table and each chunk's root
+//           span survive generation. Chunk subtrees are regenerated on
+//           demand — constraint evaluation is deterministic, so re-expansion
+//           reproduces the chunk bit-exactly — into a bounded LRU cache.
+//           Peak memory scales with the cache budget, not the space, which
+//           is what lets the tuner address spaces that never fit in RAM
+//           (ROADMAP: billion-configuration spaces).
+//
+// Random access stays O(depth x branching) in every backend: a cursor jumps
+// straight to the owning chunk via the table's leaf prefix sums instead of
+// scanning the root level from node 0.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +53,7 @@ enum class space_storage_backend {
 /// tuner::space_storage(...) through search_space::generate down to
 /// space_tree::generate. Never affects which configurations exist or their
 /// flat-index order — only the representation (and, for lazy, whether
-/// generation streams instead of stitching).
+/// generation keeps any nodes at all).
 struct space_storage_policy {
   space_storage_backend backend = space_storage_backend::dense;
   /// lazy only: byte budget of the regenerated-chunk LRU cache. The most
@@ -63,8 +68,10 @@ struct space_storage_policy {
 
 namespace detail {
 
-/// CSR node arrays of one tree level (= one parameter): the reference
-/// representation that generation produces and every backend is built from.
+/// CSR node arrays of one tree level (= one parameter) of one chunk: the
+/// reference representation that generation produces and every backend is
+/// built from. child_begin is chunk-local. The leaf level fills only
+/// value_index: a leaf has no children and exactly one leaf.
 struct csr_level {
   std::vector<std::uint32_t> value_index;  ///< index into the parameter's range
   std::vector<std::uint64_t> child_begin;  ///< first child in the next level
@@ -102,15 +109,16 @@ struct expansion_buffers {
 /// Expands root values [lo, hi) of level `lvl` into `out` (recursing over
 /// the full range of every deeper level), filtering by each parameter's
 /// constraint through the calling thread's current evaluation context.
-/// Returns the number of valid configurations (leaves) appended. Prefixes
-/// with no valid completion are popped, so surviving nodes are exactly the
-/// valid prefixes.
+/// Returns the number of valid configurations (leaves) appended. An inner
+/// node is appended only once its subtree has a valid completion, so the
+/// stored nodes are exactly the valid prefixes.
 std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
                             std::size_t lvl, std::uint64_t lo,
                             std::uint64_t hi, expansion_buffers& out);
 
-/// What generation keeps of a lazy chunk after dropping its node buffers.
-struct lazy_chunk_summary {
+/// The shape of one generated root-range chunk — one row of the chunk
+/// table every backend shares.
+struct chunk_summary {
   std::uint64_t root_lo = 0;  ///< first root value of the chunk
   std::uint64_t root_hi = 0;  ///< one past the last root value
   std::uint64_t leaves = 0;   ///< valid configurations in the chunk
@@ -134,9 +142,9 @@ public:
 
     /// Entry point of a root-level sibling scan for leaf `index`: returns
     /// the global level-0 node id at which scanning may start and rewrites
-    /// `index` relative to that node. Dense backends return 0 and leave
-    /// `index` untouched; the lazy backend jumps to the owning chunk via
-    /// leaf prefix sums so a scan never materializes unrelated chunks.
+    /// `index` relative to that node. Every backend jumps to the owning
+    /// chunk's first root via the chunk table's leaf prefix sums, so a scan
+    /// never reads (or, for lazy, materializes) unrelated chunks.
     [[nodiscard]] virtual std::uint64_t root_scan_start(
         std::uint64_t& index) = 0;
 
@@ -160,20 +168,30 @@ public:
   [[nodiscard]] virtual std::unique_ptr<cursor> make_cursor() const = 0;
 };
 
-[[nodiscard]] std::shared_ptr<space_storage> make_dense_storage(
-    std::vector<csr_level> levels);
+/// Builds a backend from generation's chunks. Workers hand over each chunk
+/// as they finish it, in any order; add() converts it to the backend's own
+/// per-chunk form on the calling thread (dense keeps the levels as they
+/// are, packed bit-packs them, lazy drops them and keeps the root span) and
+/// only then files it under a short lock. finish() orders the chunks by
+/// root value, drops chunks without leaves (every prefix died, so they hold
+/// no nodes either) and builds the chunk table over the rest.
+class storage_builder {
+public:
+  virtual ~storage_builder() = default;
+  /// Thread-safe.
+  virtual void add(chunk_summary summary, std::vector<csr_level> levels) = 0;
+  [[nodiscard]] virtual std::shared_ptr<space_storage> finish() = 0;
+};
 
-[[nodiscard]] std::shared_ptr<space_storage> make_packed_storage(
-    const std::vector<csr_level>& levels);
-
-/// `params` must be the tree's own shared parameter handles: regeneration
-/// replays set_and_check through them in the calling thread's *current*
-/// evaluation context (contexts are thread-exclusive, so concurrent
-/// operations regenerate without racing; no context is leased, so
-/// regeneration can never deadlock against callers that already hold one).
-[[nodiscard]] std::shared_ptr<space_storage> make_lazy_storage(
-    std::vector<std::shared_ptr<itp>> params,
-    std::vector<lazy_chunk_summary> chunks, std::size_t cache_bytes);
+/// `params` must be the tree's own shared parameter handles: lazy
+/// regeneration replays set_and_check through them in the calling thread's
+/// *current* evaluation context (contexts are thread-exclusive, so
+/// concurrent operations regenerate without racing; no context is leased,
+/// so regeneration can never deadlock against callers that already hold
+/// one).
+[[nodiscard]] std::unique_ptr<storage_builder> make_storage_builder(
+    const space_storage_policy& policy,
+    std::vector<std::shared_ptr<itp>> params);
 
 }  // namespace detail
 }  // namespace atf

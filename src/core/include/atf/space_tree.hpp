@@ -9,10 +9,11 @@
 // product, which is what makes ATF's generation take under a second where a
 // product-then-filter generator (CLTune) runs for hours (paper, Section VI-A).
 //
-// The tree is stored level-by-level in CSR form behind a pluggable
-// space_storage backend (space_storage.hpp): dense vectors, bit-packed
-// vectors, or lazily regenerated chunks. Every node records the number of
-// leaves below it, so the tree supports random access by flat leaf index in
+// The tree is stored level-by-level in CSR form, one partial tree per
+// generation chunk behind a shared chunk table, in a pluggable space_storage
+// backend (space_storage.hpp): dense vectors, bit-packed vectors, or lazily
+// regenerated chunks. Every inner node records the number of leaves below
+// it, so the tree supports random access by flat leaf index in
 // O(depth x average-branching) in every backend. That random access is what
 // lets the OpenTuner-style search technique treat the whole constrained
 // space as a single integer parameter TP in [0, S) (paper, Section IV-C).
@@ -52,8 +53,9 @@ struct generation_policy {
   /// values; also the median stand-in while no chunk has completed. Keeps
   /// the split bookkeeping amortized against real expansion work.
   std::uint64_t min_split_visited = 512;
-  /// Upper bound on total chunks, bounding stitch overhead however skewed
-  /// the space is (0 = automatic: max(initial chunks, 32 × workers)).
+  /// Upper bound on total chunks, bounding the chunk table and the per-chunk
+  /// bookkeeping however skewed the space is (0 = automatic:
+  /// max(initial chunks, 32 × workers)).
   std::size_t max_chunks = 0;
   /// Only re-split while some consumer is starving (the shared queue ran
   /// dry) — splitting when work is still queued adds overhead for nothing.
@@ -74,8 +76,9 @@ public:
     std::uint64_t visited_values = 0;  ///< candidate values tested
     std::uint64_t leaves = 0;          ///< valid configurations survived
     std::uint64_t nodes = 0;           ///< stored tree nodes contributed
-    std::uint64_t bytes = 0;           ///< dense CSR bytes of those nodes —
-                                       ///< what lazy streaming avoids holding
+    std::uint64_t bytes = 0;           ///< dense CSR bytes of those nodes
+                                       ///< (24 B per inner node, 4 B per
+                                       ///< leaf) — what lazy avoids holding
     double seconds = 0.0;              ///< wall-clock expansion time
   };
 
@@ -107,18 +110,21 @@ public:
   /// own evaluation context (tp.hpp). A chunk whose cost races ahead of the
   /// completed-chunk median while other workers starve gives away the tail
   /// half of its remaining root span as a new chunk (generation_policy).
-  /// Partial trees are stitched back in root-value order, so the result is
-  /// bit-identical to sequential generation — same node order, child spans,
-  /// leaf counts and flat-index order, regardless of worker count, chunk
-  /// schedule or re-splits — and every index-based consumer is oblivious to
-  /// how the tree was built. This is what parallelizes the Fig. 2
-  /// XgemmDirect case, a *single* group that Section V's one-thread-
-  /// per-group scheme cannot speed up.
+  /// Partial trees are never concatenated: each stays as its worker built
+  /// it (packed: bit-packed by that worker), and a chunk table of per-chunk
+  /// leaf and node prefix sums in root-value order maps them onto the global
+  /// node numbering. The result is bit-identical to sequential generation —
+  /// same node numbering, child spans, leaf counts and flat-index order,
+  /// regardless of worker count, chunk schedule or re-splits — and every
+  /// index-based consumer is oblivious to how the tree was built. This is
+  /// what parallelizes the Fig. 2 XgemmDirect case, a *single* group that
+  /// Section V's one-thread-per-group scheme cannot speed up.
   ///
-  /// With the lazy storage backend, generation *streams*: each chunk is
-  /// summarized ([root_lo, root_hi) → leaf/node counts) and its node
-  /// buffers dropped immediately, so peak memory scales with the largest
-  /// in-flight chunk plus the chunk cache — never with the space.
+  /// With the lazy storage backend, generation *streams*: each chunk keeps
+  /// only its chunk-table row ([root_lo, root_hi) → leaf/node counts) and
+  /// its node buffers are dropped immediately, so peak memory scales with
+  /// the largest in-flight chunk plus the chunk cache — never with the
+  /// space.
   static space_tree generate(const tp_group& group, common::thread_pool& pool,
                              const generation_policy& policy = {},
                              const space_storage_policy& storage = {});
@@ -170,9 +176,9 @@ public:
   /// Total logical nodes — identical across storage backends.
   [[nodiscard]] std::uint64_t node_count() const noexcept;
 
-  /// Heap bytes the node storage holds right now. Dense counts its CSR
-  /// vectors, packed its bit-packed words, lazy its summaries plus the
-  /// chunks currently materialized in the cache.
+  /// Heap bytes the node storage holds right now: the chunk table plus, for
+  /// dense, its per-chunk CSR vectors, for packed its bit-packed words, and
+  /// for lazy the root spans and the chunks currently in the cache.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
   /// Which representation backs this tree.

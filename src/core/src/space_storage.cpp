@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <list>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -29,39 +30,42 @@ std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
                             std::uint64_t hi, expansion_buffers& out) {
   csr_level& nodes = out.levels[lvl];
   const itp& param = *params[lvl];
-  const bool is_last = lvl + 1 == out.levels.size();
 
+  if (lvl + 1 == out.levels.size()) {
+    // Leaves store only their value index: every leaf has no children and
+    // exactly one leaf, so the other arrays would be constant.
+    const std::uint64_t before = nodes.size();
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      ++out.visited_values;
+      if (param.set_and_check(i)) {
+        nodes.value_index.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    return nodes.size() - before;
+  }
+
+  csr_level& children = out.levels[lvl + 1];
   std::uint64_t leaves = 0;
   for (std::uint64_t i = lo; i < hi; ++i) {
     ++out.visited_values;
     if (!param.set_and_check(i)) {
       continue;
     }
-    const std::uint64_t node = nodes.size();
-    nodes.value_index.push_back(static_cast<std::uint32_t>(i));
-    nodes.child_begin.push_back(is_last ? 0 : out.levels[lvl + 1].size());
-    nodes.child_count.push_back(0);
-    nodes.leaf_count.push_back(0);
-
-    std::uint64_t sub = 1;
-    if (!is_last) {
-      sub = expand_levels(params, lvl + 1, 0, params[lvl + 1]->range_size(),
-                          out);
-      if (sub == 0) {
-        // No valid completion below this prefix: the recursive call left the
-        // deeper levels untouched (its own dead children were popped), so we
-        // only need to pop this node.
-        ++out.dead_prefixes;
-        nodes.value_index.pop_back();
-        nodes.child_begin.pop_back();
-        nodes.child_count.pop_back();
-        nodes.leaf_count.pop_back();
-        continue;
-      }
-      nodes.child_count[node] = static_cast<std::uint32_t>(
-          out.levels[lvl + 1].size() - nodes.child_begin[node]);
+    const std::uint64_t first_child = children.size();
+    const std::uint64_t sub = expand_levels(
+        params, lvl + 1, 0, params[lvl + 1]->range_size(), out);
+    if (sub == 0) {
+      // No valid completion below this prefix: the recursive call left the
+      // deeper levels untouched (it never appends a dead child either), so
+      // this node is simply not appended.
+      ++out.dead_prefixes;
+      continue;
     }
-    nodes.leaf_count[node] = sub;
+    nodes.value_index.push_back(static_cast<std::uint32_t>(i));
+    nodes.child_begin.push_back(first_child);
+    nodes.child_count.push_back(
+        static_cast<std::uint32_t>(children.size() - first_child));
+    nodes.leaf_count.push_back(sub);
     leaves += sub;
   }
   return leaves;
@@ -70,78 +74,162 @@ std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
 namespace {
 
 // ---------------------------------------------------------------------------
-// dense: the CSR vectors exactly as generation produced them.
+// The chunk table all backends share. Generation's chunks partition the
+// root range into disjoint contiguous spans, and sequential expansion
+// numbers nodes chunk-by-chunk in root order — so per-chunk node-count
+// prefix sums translate between the global dense numbering and a chunk-local
+// one exactly, whichever backend holds (or regenerates) the chunk's nodes.
 
-class dense_storage final : public space_storage {
-public:
-  explicit dense_storage(std::vector<csr_level> levels)
-      : levels_(std::move(levels)) {}
-
-  [[nodiscard]] space_storage_backend backend() const noexcept override {
-    return space_storage_backend::dense;
+struct chunk_table {
+  /// `chunks` in root order, every chunk with at least one leaf.
+  chunk_table(std::size_t depth, const std::vector<chunk_summary>& chunks)
+      : leaf_before(chunks.size() + 1, 0),
+        node_before(depth, std::vector<std::uint64_t>(chunks.size() + 1, 0)) {
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      leaf_before[c + 1] = leaf_before[c] + chunks[c].leaves;
+      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
+        node_before[lvl][c + 1] =
+            node_before[lvl][c] + chunks[c].level_nodes[lvl];
+      }
+    }
   }
+
+  [[nodiscard]] std::size_t depth() const noexcept {
+    return node_before.size();
+  }
+  [[nodiscard]] std::size_t memory_bytes() const noexcept {
+    std::size_t total = leaf_before.capacity() * sizeof(std::uint64_t);
+    for (const auto& prefix : node_before) {
+      total += prefix.capacity() * sizeof(std::uint64_t);
+    }
+    return total;
+  }
+
+  /// The chunk c with before[c] <= id < before[c + 1].
+  [[nodiscard]] static std::size_t owner(
+      const std::vector<std::uint64_t>& before, std::uint64_t id) {
+    return static_cast<std::size_t>(
+        std::upper_bound(before.begin(), before.end(), id) - before.begin() -
+        1);
+  }
+
+  std::vector<std::uint64_t> leaf_before;  ///< [c]: leaves in chunks < c
+  /// [lvl][c]: level-lvl nodes in chunks < c — the translation between
+  /// global dense node ids and chunk-local ones.
+  std::vector<std::vector<std::uint64_t>> node_before;
+};
+
+/// What every backend shares: the chunk table and the shape queries on it.
+class table_storage : public space_storage {
+public:
+  explicit table_storage(chunk_table table) : table_(std::move(table)) {}
+
   [[nodiscard]] std::size_t depth() const noexcept override {
-    return levels_.size();
+    return table_.depth();
   }
   [[nodiscard]] std::uint64_t level_size(
       std::size_t lvl) const noexcept override {
-    return levels_[lvl].size();
+    return table_.node_before[lvl].back();
   }
   [[nodiscard]] std::uint64_t node_count() const noexcept override {
     std::uint64_t total = 0;
-    for (const csr_level& nodes : levels_) {
-      total += nodes.size();
+    for (const auto& prefix : table_.node_before) {
+      total += prefix.back();
     }
     return total;
   }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    std::size_t total = 0;
-    for (const csr_level& nodes : levels_) {
-      total += nodes.memory_bytes();
-    }
-    return total;
+  [[nodiscard]] const chunk_table& table() const noexcept { return table_; }
+
+protected:
+  chunk_table table_;
+};
+
+/// One node of a chunk level; works for csr_level and packed_level alike.
+template <class Level>
+node_ref read_node(const Level& nodes, std::uint64_t local, bool leaf,
+                   std::uint64_t child_offset) {
+  const auto value = static_cast<std::uint32_t>(nodes.value_index[local]);
+  if (leaf) {
+    return {value, 0, 0, 1};
+  }
+  return {value, nodes.child_begin[local] + child_offset,
+          static_cast<std::uint32_t>(nodes.child_count[local]),
+          nodes.leaf_count[local]};
+}
+
+/// The cursor of every backend. `Storage` provides table() and chunk(c),
+/// which returns a pointer-like handle to chunk c's levels; the cursor pins
+/// the handle of the chunk it is walking (for lazy, a shared_ptr that keeps
+/// the chunk alive across LRU eviction).
+template <class Storage>
+class chunk_cursor final : public space_storage::cursor {
+public:
+  explicit chunk_cursor(const Storage& storage)
+      : storage_(storage), table_(storage.table()) {}
+
+  [[nodiscard]] node_ref node(std::size_t lvl, std::uint64_t id) override {
+    const auto& before = table_.node_before[lvl];
+    const std::size_t c = chunk_of(before, id);
+    pin(c);
+    const bool leaf = lvl + 1 == table_.depth();
+    return read_node((*pinned_)[lvl], id - before[c], leaf,
+                     leaf ? 0 : table_.node_before[lvl + 1][c]);
   }
 
-  class dense_cursor final : public cursor {
-  public:
-    explicit dense_cursor(const std::vector<csr_level>& levels)
-        : levels_(levels) {}
+  [[nodiscard]] std::uint64_t root_scan_start(std::uint64_t& index) override {
+    const auto& before = table_.leaf_before;
+    const std::size_t c = chunk_table::owner(before, index);
+    index -= before[c];
+    return table_.node_before[0][c];
+  }
 
-    [[nodiscard]] node_ref node(std::size_t lvl,
-                                std::uint64_t id) override {
-      const csr_level& nodes = levels_[lvl];
-      return {nodes.value_index[id], nodes.child_begin[id],
-              nodes.child_count[id], nodes.leaf_count[id]};
+  [[nodiscard]] std::uint64_t leaves_before_root(
+      std::uint64_t node) override {
+    const auto& roots_before = table_.node_before[0];
+    const std::size_t c = chunk_of(roots_before, node);
+    const std::uint64_t local_end = node - roots_before[c];
+    std::uint64_t leaves = table_.leaf_before[c];
+    if (table_.depth() == 1) {
+      return leaves + local_end;  // the roots are the leaves
     }
-    [[nodiscard]] std::uint64_t root_scan_start(std::uint64_t&) override {
-      return 0;
+    pin(c);
+    const auto& roots = (*pinned_)[0];
+    for (std::uint64_t local = 0; local < local_end; ++local) {
+      leaves += roots.leaf_count[local];
     }
-    [[nodiscard]] std::uint64_t leaves_before_root(
-        std::uint64_t node) override {
-      const csr_level& roots = levels_[0];
-      std::uint64_t leaves = 0;
-      for (std::uint64_t sibling = 0; sibling < node; ++sibling) {
-        leaves += roots.leaf_count[sibling];
-      }
-      return leaves;
-    }
-
-  private:
-    const std::vector<csr_level>& levels_;
-  };
-
-  [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
-    return std::make_unique<dense_cursor>(levels_);
+    return leaves;
   }
 
 private:
-  std::vector<csr_level> levels_;
+  [[nodiscard]] std::size_t chunk_of(const std::vector<std::uint64_t>& before,
+                                     std::uint64_t id) const {
+    // The pinned chunk almost always owns the next access (all nodes of
+    // one leaf's path live in one chunk); fall back to binary search.
+    if (pinned_ && id >= before[pinned_chunk_] &&
+        id < before[pinned_chunk_ + 1]) {
+      return pinned_chunk_;
+    }
+    return chunk_table::owner(before, id);
+  }
+
+  void pin(std::size_t c) {
+    if (pinned_ && pinned_chunk_ == c) {
+      return;
+    }
+    pinned_ = storage_.chunk(c);
+    pinned_chunk_ = c;
+  }
+
+  const Storage& storage_;
+  const chunk_table& table_;
+  decltype(std::declval<const Storage&>().chunk(0)) pinned_{};
+  std::size_t pinned_chunk_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// packed: the same levels, every array bit-packed to its minimal width.
-// Leaf levels nearly vanish: child_begin/child_count are all zero (width 0,
-// no words) and leaf_count is all ones (width 1).
+// dense and packed: every chunk's levels resident, in the form `Level`.
+// Packed leaf levels nearly vanish: only value_index is stored, at a few
+// bits per leaf.
 
 struct packed_level {
   common::packed_u64_vector value_index;
@@ -149,294 +237,146 @@ struct packed_level {
   common::packed_u64_vector child_count;
   common::packed_u64_vector leaf_count;
 
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return value_index.size();
-  }
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return value_index.memory_bytes() + child_begin.memory_bytes() +
            child_count.memory_bytes() + leaf_count.memory_bytes();
   }
 };
 
-class packed_storage final : public space_storage {
-public:
-  explicit packed_storage(const std::vector<csr_level>& levels) {
-    levels_.reserve(levels.size());
-    for (const csr_level& nodes : levels) {
-      packed_level packed;
-      packed.value_index = common::packed_u64_vector::pack(nodes.value_index);
-      packed.child_begin = common::packed_u64_vector::pack(nodes.child_begin);
-      packed.child_count = common::packed_u64_vector::pack(nodes.child_count);
-      packed.leaf_count = common::packed_u64_vector::pack(nodes.leaf_count);
-      levels_.push_back(std::move(packed));
-    }
+std::vector<packed_level> pack_levels(std::vector<csr_level>&& levels) {
+  using common::packed_u64_vector;
+  std::vector<packed_level> packed;
+  packed.reserve(levels.size());
+  for (csr_level& nodes : levels) {
+    packed.push_back({packed_u64_vector::pack(nodes.value_index),
+                      packed_u64_vector::pack(nodes.child_begin),
+                      packed_u64_vector::pack(nodes.child_count),
+                      packed_u64_vector::pack(nodes.leaf_count)});
+    nodes = csr_level{};  // release each level as soon as it is packed
   }
+  return packed;
+}
+
+template <class Level>
+class resident_storage final : public table_storage {
+public:
+  resident_storage(space_storage_backend backend, chunk_table table,
+                   std::vector<std::vector<Level>> chunks)
+      : table_storage(std::move(table)), backend_(backend),
+        chunks_(std::move(chunks)) {}
 
   [[nodiscard]] space_storage_backend backend() const noexcept override {
-    return space_storage_backend::packed;
-  }
-  [[nodiscard]] std::size_t depth() const noexcept override {
-    return levels_.size();
-  }
-  [[nodiscard]] std::uint64_t level_size(
-      std::size_t lvl) const noexcept override {
-    return levels_[lvl].size();
-  }
-  [[nodiscard]] std::uint64_t node_count() const noexcept override {
-    std::uint64_t total = 0;
-    for (const packed_level& nodes : levels_) {
-      total += nodes.size();
-    }
-    return total;
+    return backend_;
   }
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    std::size_t total = 0;
-    for (const packed_level& nodes : levels_) {
-      total += nodes.memory_bytes();
+    std::size_t total = table_.memory_bytes();
+    for (const std::vector<Level>& levels : chunks_) {
+      for (const Level& nodes : levels) {
+        total += nodes.memory_bytes();
+      }
     }
     return total;
   }
-
-  class packed_cursor final : public cursor {
-  public:
-    explicit packed_cursor(const std::vector<packed_level>& levels)
-        : levels_(levels) {}
-
-    [[nodiscard]] node_ref node(std::size_t lvl,
-                                std::uint64_t id) override {
-      const packed_level& nodes = levels_[lvl];
-      return {static_cast<std::uint32_t>(nodes.value_index[id]),
-              nodes.child_begin[id],
-              static_cast<std::uint32_t>(nodes.child_count[id]),
-              nodes.leaf_count[id]};
-    }
-    [[nodiscard]] std::uint64_t root_scan_start(std::uint64_t&) override {
-      return 0;
-    }
-    [[nodiscard]] std::uint64_t leaves_before_root(
-        std::uint64_t node) override {
-      const packed_level& roots = levels_[0];
-      std::uint64_t leaves = 0;
-      for (std::uint64_t sibling = 0; sibling < node; ++sibling) {
-        leaves += roots.leaf_count[sibling];
-      }
-      return leaves;
-    }
-
-  private:
-    const std::vector<packed_level>& levels_;
-  };
-
   [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
-    return std::make_unique<packed_cursor>(levels_);
+    return std::make_unique<chunk_cursor<resident_storage>>(*this);
+  }
+
+  [[nodiscard]] const std::vector<Level>* chunk(std::size_t c) const {
+    return &chunks_[c];
   }
 
 private:
-  std::vector<packed_level> levels_;
+  space_storage_backend backend_;
+  std::vector<std::vector<Level>> chunks_;  ///< root order
 };
 
 // ---------------------------------------------------------------------------
-// lazy: per-chunk summaries + an LRU cache of regenerated chunk subtrees.
-//
-// Generation's chunks partition the root range into disjoint contiguous
-// spans, and sequential expansion numbers nodes chunk-by-chunk in root
-// order — so per-chunk node-count prefix sums translate between the global
-// dense numbering and a chunk-local one exactly, and re-expanding a span
-// reproduces its nodes bit-identically (constraints are deterministic).
+// lazy: the chunk table, each chunk's root span, and an LRU cache of
+// regenerated chunk subtrees. Re-expanding a span reproduces its nodes
+// bit-identically (constraints are deterministic).
 
-class lazy_storage final : public space_storage {
+struct root_span {
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+};
+
+class lazy_storage final : public table_storage {
 public:
-  lazy_storage(std::vector<std::shared_ptr<itp>> params,
-               std::vector<lazy_chunk_summary> chunks,
-               std::size_t cache_bytes)
-      : params_(std::move(params)), budget_(cache_bytes) {
-    // Chunks whose every prefix died contribute no nodes and no leaves;
-    // keeping them would only pad the prefix arrays.
-    chunks_.reserve(chunks.size());
-    for (lazy_chunk_summary& chunk : chunks) {
-      if (chunk.leaves != 0) {
-        chunks_.push_back(std::move(chunk));
-      }
-    }
-    const std::size_t depth =
-        chunks_.empty() ? params_.size() : chunks_[0].level_nodes.size();
-    depth_ = depth;
-    leaf_before_.assign(chunks_.size() + 1, 0);
-    node_before_.assign(depth, std::vector<std::uint64_t>(chunks_.size() + 1, 0));
-    for (std::size_t c = 0; c < chunks_.size(); ++c) {
-      leaf_before_[c + 1] = leaf_before_[c] + chunks_[c].leaves;
-      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-        node_before_[lvl][c + 1] =
-            node_before_[lvl][c] + chunks_[c].level_nodes[lvl];
-      }
-    }
-  }
+  lazy_storage(std::vector<std::shared_ptr<itp>> params, chunk_table table,
+               std::vector<root_span> spans, std::size_t cache_bytes)
+      : table_storage(std::move(table)), params_(std::move(params)),
+        spans_(std::move(spans)), budget_(cache_bytes) {}
 
   [[nodiscard]] space_storage_backend backend() const noexcept override {
     return space_storage_backend::lazy;
   }
-  [[nodiscard]] std::size_t depth() const noexcept override { return depth_; }
-  [[nodiscard]] std::uint64_t level_size(
-      std::size_t lvl) const noexcept override {
-    return node_before_[lvl].back();
-  }
-  [[nodiscard]] std::uint64_t node_count() const noexcept override {
-    std::uint64_t total = 0;
-    for (const auto& prefix : node_before_) {
-      total += prefix.back();
-    }
-    return total;
-  }
   [[nodiscard]] std::size_t memory_bytes() const noexcept override {
-    std::size_t total = leaf_before_.capacity() * sizeof(std::uint64_t);
-    for (const auto& prefix : node_before_) {
-      total += prefix.capacity() * sizeof(std::uint64_t);
-    }
-    for (const lazy_chunk_summary& chunk : chunks_) {
-      total += sizeof(lazy_chunk_summary) +
-               chunk.level_nodes.capacity() * sizeof(std::uint64_t);
-    }
+    const std::size_t total =
+        table_.memory_bytes() + spans_.capacity() * sizeof(root_span);
     std::lock_guard lock(mutex_);
     return total + cached_bytes_;
+  }
+  [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
+    return std::make_unique<chunk_cursor<lazy_storage>>(*this);
   }
 
   /// A regenerated chunk subtree. Handed out as shared_ptr<const> so LRU
   /// eviction can never free a chunk an in-flight cursor still reads.
-  struct materialized {
-    std::vector<csr_level> levels;
-    std::size_t bytes = 0;
-  };
+  using levels_ptr = std::shared_ptr<const std::vector<csr_level>>;
 
-  [[nodiscard]] std::shared_ptr<const materialized> chunk(
-      std::size_t c) const {
+  [[nodiscard]] levels_ptr chunk(std::size_t c) const {
     {
       std::lock_guard lock(mutex_);
       const auto it = cache_.find(c);
       if (it != cache_.end()) {
         recency_.splice(recency_.begin(), recency_, it->second.position);
-        return it->second.data;
+        return it->second.levels;
       }
     }
     // Regenerate outside the lock: expansion replays set_and_check through
     // the calling thread's current evaluation context (thread-exclusive, so
     // concurrent regenerations cannot race; a concurrent regeneration of
     // the same chunk just produces an identical duplicate and one wins).
-    auto data = std::make_shared<materialized>();
     expansion_buffers buffers;
-    buffers.levels.resize(depth_);
-    (void)expand_levels(params_, 0, chunks_[c].root_lo, chunks_[c].root_hi,
-                        buffers);
-    data->levels = std::move(buffers.levels);
-    for (const csr_level& nodes : data->levels) {
-      data->bytes += nodes.memory_bytes();
+    buffers.levels.resize(table_.depth());
+    (void)expand_levels(params_, 0, spans_[c].lo, spans_[c].hi, buffers);
+    std::size_t bytes = 0;
+    for (const csr_level& nodes : buffers.levels) {
+      bytes += nodes.memory_bytes();
     }
+    auto levels = std::make_shared<const std::vector<csr_level>>(
+        std::move(buffers.levels));
 
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(c);
     if (it != cache_.end()) {
       recency_.splice(recency_.begin(), recency_, it->second.position);
-      return it->second.data;
+      return it->second.levels;
     }
     recency_.push_front(c);
-    cache_.emplace(c, entry{data, recency_.begin()});
-    cached_bytes_ += data->bytes;
+    cache_.emplace(c, entry{levels, bytes, recency_.begin()});
+    cached_bytes_ += bytes;
     // Evict least-recently-used chunks down to the budget, always keeping
     // the chunk just inserted (a single oversized chunk must still work).
     while (cached_bytes_ > budget_ && cache_.size() > 1) {
       const std::size_t victim = recency_.back();
       recency_.pop_back();
       const auto victim_it = cache_.find(victim);
-      cached_bytes_ -= victim_it->second.data->bytes;
+      cached_bytes_ -= victim_it->second.bytes;
       cache_.erase(victim_it);
     }
-    return data;
-  }
-
-  class lazy_cursor final : public cursor {
-  public:
-    explicit lazy_cursor(const lazy_storage& storage) : storage_(storage) {}
-
-    [[nodiscard]] node_ref node(std::size_t lvl,
-                                std::uint64_t id) override {
-      const std::size_t c = chunk_of(storage_.node_before_[lvl], id);
-      pin(c);
-      const csr_level& nodes = pinned_->levels[lvl];
-      const std::uint64_t local = id - storage_.node_before_[lvl][c];
-      node_ref ref{nodes.value_index[local], nodes.child_begin[local],
-                   nodes.child_count[local], nodes.leaf_count[local]};
-      if (lvl + 1 < storage_.depth_) {
-        ref.child_begin += storage_.node_before_[lvl + 1][c];
-      }
-      return ref;
-    }
-
-    [[nodiscard]] std::uint64_t root_scan_start(
-        std::uint64_t& index) override {
-      const auto& before = storage_.leaf_before_;
-      const std::size_t c = static_cast<std::size_t>(
-          std::upper_bound(before.begin(), before.end(), index) -
-          before.begin() - 1);
-      index -= before[c];
-      return storage_.node_before_[0][c];
-    }
-
-    [[nodiscard]] std::uint64_t leaves_before_root(
-        std::uint64_t node) override {
-      const std::size_t c = chunk_of(storage_.node_before_[0], node);
-      pin(c);
-      std::uint64_t leaves = storage_.leaf_before_[c];
-      const csr_level& roots = pinned_->levels[0];
-      const std::uint64_t local_end = node - storage_.node_before_[0][c];
-      for (std::uint64_t local = 0; local < local_end; ++local) {
-        leaves += roots.leaf_count[local];
-      }
-      return leaves;
-    }
-
-  private:
-    [[nodiscard]] std::size_t chunk_of(
-        const std::vector<std::uint64_t>& before, std::uint64_t id) const {
-      // The pinned chunk almost always owns the next access (all nodes of
-      // one leaf's path live in one chunk); fall back to binary search.
-      if (pinned_ && id >= before[pinned_chunk_] &&
-          id < before[pinned_chunk_ + 1]) {
-        return pinned_chunk_;
-      }
-      return static_cast<std::size_t>(
-          std::upper_bound(before.begin(), before.end(), id) -
-          before.begin() - 1);
-    }
-
-    void pin(std::size_t c) {
-      if (pinned_ && pinned_chunk_ == c) {
-        return;
-      }
-      pinned_ = storage_.chunk(c);
-      pinned_chunk_ = c;
-    }
-
-    const lazy_storage& storage_;
-    std::shared_ptr<const materialized> pinned_;
-    std::size_t pinned_chunk_ = 0;
-  };
-
-  [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
-    return std::make_unique<lazy_cursor>(*this);
+    return levels;
   }
 
 private:
   struct entry {
-    std::shared_ptr<const materialized> data;
+    levels_ptr levels;
+    std::size_t bytes = 0;
     std::list<std::size_t>::iterator position;
   };
 
   std::vector<std::shared_ptr<itp>> params_;
-  std::vector<lazy_chunk_summary> chunks_;  ///< root order, leaves > 0 only
-  std::vector<std::uint64_t> leaf_before_;  ///< per-chunk leaf prefix sums
-  /// node_before_[lvl][c]: nodes of level lvl in chunks before c — the
-  /// translation between global dense node ids and chunk-local ones.
-  std::vector<std::vector<std::uint64_t>> node_before_;
-  std::size_t depth_ = 0;
+  std::vector<root_span> spans_;  ///< root order
   std::size_t budget_;
 
   mutable std::mutex mutex_;
@@ -445,23 +385,114 @@ private:
   mutable std::size_t cached_bytes_ = 0;
 };
 
+// ---------------------------------------------------------------------------
+// Building: `Convert` turns one expanded chunk into the backend's per-chunk
+// form on the worker's thread; `Build` makes the storage from the table and
+// the converted chunks in root order.
+
+template <class Convert, class Build>
+class chunk_builder final : public storage_builder {
+  using chunk_type = std::invoke_result_t<Convert, const chunk_summary&,
+                                          std::vector<csr_level>&&>;
+
+public:
+  chunk_builder(std::size_t depth, Convert convert, Build build)
+      : depth_(depth), convert_(std::move(convert)), build_(std::move(build)) {}
+
+  void add(chunk_summary summary, std::vector<csr_level> levels) override {
+    chunk_type chunk = convert_(summary, std::move(levels));
+    std::lock_guard lock(mutex_);
+    entries_.push_back({std::move(summary), std::move(chunk)});
+  }
+
+  [[nodiscard]] std::shared_ptr<space_storage> finish() override {
+    std::sort(entries_.begin(), entries_.end(),
+              [](const entry& a, const entry& b) {
+                return a.summary.root_lo < b.summary.root_lo;
+              });
+    std::vector<chunk_summary> summaries;
+    std::vector<chunk_type> chunks;
+    for (entry& e : entries_) {
+      if (e.summary.leaves != 0) {
+        summaries.push_back(std::move(e.summary));
+        chunks.push_back(std::move(e.chunk));
+      }
+    }
+    entries_.clear();
+    return build_(chunk_table(depth_, summaries), std::move(chunks));
+  }
+
+private:
+  struct entry {
+    chunk_summary summary;
+    chunk_type chunk;
+  };
+
+  std::size_t depth_;
+  Convert convert_;
+  Build build_;
+  std::mutex mutex_;
+  std::vector<entry> entries_;
+};
+
+template <class Convert, class Build>
+std::unique_ptr<storage_builder> builder_of(std::size_t depth, Convert convert,
+                                            Build build) {
+  return std::make_unique<chunk_builder<Convert, Build>>(
+      depth, std::move(convert), std::move(build));
+}
+
+template <class Level>
+auto resident_build(space_storage_backend backend) {
+  return [backend](chunk_table table, std::vector<std::vector<Level>> chunks)
+             -> std::shared_ptr<space_storage> {
+    return std::make_shared<resident_storage<Level>>(backend, std::move(table),
+                                                     std::move(chunks));
+  };
+}
+
 }  // namespace
 
-std::shared_ptr<space_storage> make_dense_storage(
-    std::vector<csr_level> levels) {
-  return std::make_shared<dense_storage>(std::move(levels));
-}
-
-std::shared_ptr<space_storage> make_packed_storage(
-    const std::vector<csr_level>& levels) {
-  return std::make_shared<packed_storage>(levels);
-}
-
-std::shared_ptr<space_storage> make_lazy_storage(
-    std::vector<std::shared_ptr<itp>> params,
-    std::vector<lazy_chunk_summary> chunks, std::size_t cache_bytes) {
-  return std::make_shared<lazy_storage>(std::move(params), std::move(chunks),
-                                        cache_bytes);
+std::unique_ptr<storage_builder> make_storage_builder(
+    const space_storage_policy& policy,
+    std::vector<std::shared_ptr<itp>> params) {
+  const std::size_t depth = params.size();
+  switch (policy.backend) {
+    case space_storage_backend::packed:
+      return builder_of(
+          depth,
+          [](const chunk_summary&, std::vector<csr_level>&& levels) {
+            return pack_levels(std::move(levels));
+          },
+          resident_build<packed_level>(space_storage_backend::packed));
+    case space_storage_backend::lazy:
+      return builder_of(
+          depth,
+          [](const chunk_summary& summary, std::vector<csr_level>&&) {
+            return root_span{summary.root_lo, summary.root_hi};
+          },
+          [params = std::move(params), budget = policy.chunk_cache_bytes](
+              chunk_table table, std::vector<root_span> spans)
+              -> std::shared_ptr<space_storage> {
+            return std::make_shared<lazy_storage>(
+                params, std::move(table), std::move(spans), budget);
+          });
+    case space_storage_backend::dense:
+      break;
+  }
+  return builder_of(
+      depth,
+      [](const chunk_summary&, std::vector<csr_level>&& levels) {
+        // Growth slack would otherwise be ~half of what the tree holds.
+        for (csr_level& nodes : levels) {
+          nodes.value_index.shrink_to_fit();
+          nodes.child_begin.shrink_to_fit();
+          nodes.child_count.shrink_to_fit();
+          nodes.leaf_count.shrink_to_fit();
+        }
+        return std::move(levels);
+      },
+      resident_build<csr_level>(space_storage_backend::dense));
 }
 
 }  // namespace detail

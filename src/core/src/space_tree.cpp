@@ -88,7 +88,7 @@ private:
 /// Per-chunk expansion output: a full set of CSR levels plus the counters
 /// that sum across chunks. Chunk c expands root values [root_lo, root_hi)
 /// only; deeper levels always iterate their full range. root_lo keys the
-/// stitch order — spans are disjoint and contiguous, so sorting chunks by
+/// chunk table — spans are disjoint and contiguous, so ordering chunks by
 /// root_lo reproduces the sequential expansion order no matter which worker
 /// ran a chunk or how often it was re-split.
 struct chunk_result {
@@ -99,69 +99,18 @@ struct chunk_result {
   double seconds = 0.0;
 };
 
-/// Dense CSR bytes of one chunk's nodes (by logical size, not capacity) —
-/// the representation-independent cost a chunk contributes if stitched.
+/// Dense CSR bytes of one chunk's nodes (by logical size, not capacity):
+/// 24 B per inner node, 4 B per leaf, which stores only its value index.
 std::size_t chunk_dense_bytes(const chunk_result& part) {
+  const std::vector<detail::csr_level>& levels = part.buffers.levels;
   std::size_t bytes = 0;
-  for (const detail::csr_level& nodes : part.buffers.levels) {
-    bytes += nodes.size() * (2 * sizeof(std::uint32_t) +
-                             2 * sizeof(std::uint64_t));
+  for (std::size_t lvl = 0; lvl < levels.size(); ++lvl) {
+    const bool leaf = lvl + 1 == levels.size();
+    bytes += levels[lvl].size() *
+             (leaf ? sizeof(std::uint32_t)
+                   : 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t));
   }
   return bytes;
-}
-
-std::uint64_t chunk_node_count(const chunk_result& part) {
-  std::uint64_t nodes = 0;
-  for (const detail::csr_level& level : part.buffers.levels) {
-    nodes += level.size();
-  }
-  return nodes;
-}
-
-/// Concatenates the per-chunk level arrays in root-value order into one
-/// global CSR level set. Sequential expansion appends a level's nodes
-/// grouped by root value, in root-value order; chunks partition the root
-/// range contiguously, so concatenating in chunk order reproduces the
-/// sequential node order exactly. Only child_begin needs fixing up: chunk
-/// c's entries at level l index into its private level l+1 array, so they
-/// shift by the combined level-(l+1) size of all earlier chunks.
-std::vector<detail::csr_level> stitch_levels(std::vector<chunk_result>& parts,
-                                             std::size_t depth) {
-  std::vector<detail::csr_level> levels(depth);
-  for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-    detail::csr_level& dst = levels[lvl];
-    std::uint64_t total = 0;
-    for (const chunk_result& part : parts) {
-      total += part.buffers.levels[lvl].size();
-    }
-    dst.value_index.reserve(total);
-    dst.child_begin.reserve(total);
-    dst.child_count.reserve(total);
-    dst.leaf_count.reserve(total);
-
-    const bool is_last = lvl + 1 == depth;
-    std::uint64_t next_level_offset = 0;
-    for (chunk_result& part : parts) {
-      detail::csr_level& src = part.buffers.levels[lvl];
-      dst.value_index.insert(dst.value_index.end(), src.value_index.begin(),
-                             src.value_index.end());
-      dst.child_count.insert(dst.child_count.end(), src.child_count.begin(),
-                             src.child_count.end());
-      dst.leaf_count.insert(dst.leaf_count.end(), src.leaf_count.begin(),
-                            src.leaf_count.end());
-      if (is_last) {
-        // Leaf nodes store child_begin == 0 — append verbatim.
-        dst.child_begin.insert(dst.child_begin.end(), src.child_begin.begin(),
-                               src.child_begin.end());
-      } else {
-        for (const std::uint64_t begin : src.child_begin) {
-          dst.child_begin.push_back(begin + next_level_offset);
-        }
-        next_level_offset += part.buffers.levels[lvl + 1].size();
-      }
-    }
-  }
-  return levels;
 }
 
 }  // namespace
@@ -195,62 +144,49 @@ space_tree space_tree::generate_impl(const tp_group& group,
   }
   const std::size_t depth = tree.params_.size();
   const bool lazy = storage.backend == space_storage_backend::lazy;
+  const auto builder = detail::make_storage_builder(storage, tree.params_);
 
   common::stopwatch timer;
   if (depth == 0) {
     // A group with no parameters contributes exactly one (empty)
     // configuration so that cross-group products stay well-defined.
     tree.leaf_total_ = 1;
-    if (lazy) {
-      tree.storage_ = detail::make_lazy_storage(tree.params_, {},
-                                                storage.chunk_cache_bytes);
-    } else if (storage.backend == space_storage_backend::packed) {
-      tree.storage_ = detail::make_packed_storage({});
-    } else {
-      tree.storage_ = detail::make_dense_storage({});
-    }
   } else {
     const std::uint64_t root_range = tree.params_[0]->range_size();
 
-    std::vector<chunk_result> parts;                    // dense / packed
-    std::vector<detail::lazy_chunk_summary> summaries;  // lazy
     std::vector<chunk_stat> chunk_stats;
     std::uint64_t visited_values = 0;
     std::uint64_t dead_prefixes = 0;
     std::uint64_t leaf_total = 0;
-    std::uint64_t chunks_expanded = 0;
+    std::mutex stats_mutex;
 
-    // Consumes one finished chunk. In lazy mode the node buffers are
-    // summarized and dropped right here — this is what makes generation
-    // stream: at no point do all chunks' nodes coexist.
+    // Consumes one finished chunk on the thread that expanded it: the
+    // builder converts the node buffers to the backend's form (packed bit-
+    // packs them, lazy drops them — this is what makes lazy generation
+    // stream) before the chunk's counters are booked under a short lock.
     auto consume = [&](chunk_result&& part) {
       chunk_stat stat;
       stat.root_lo = part.root_lo;
       stat.root_hi = part.root_hi;
       stat.visited_values = part.buffers.visited_values;
       stat.leaves = part.leaves;
-      stat.nodes = chunk_node_count(part);
       stat.bytes = chunk_dense_bytes(part);
       stat.seconds = part.seconds;
+      detail::chunk_summary summary;
+      summary.root_lo = part.root_lo;
+      summary.root_hi = part.root_hi;
+      summary.leaves = part.leaves;
+      summary.level_nodes.reserve(depth);
+      for (const detail::csr_level& nodes : part.buffers.levels) {
+        summary.level_nodes.push_back(nodes.size());
+        stat.nodes += nodes.size();
+      }
+      builder->add(std::move(summary), std::move(part.buffers.levels));
+      std::lock_guard lock(stats_mutex);
       chunk_stats.push_back(stat);
       visited_values += part.buffers.visited_values;
       dead_prefixes += part.buffers.dead_prefixes;
       leaf_total += part.leaves;
-      ++chunks_expanded;
-      if (lazy) {
-        detail::lazy_chunk_summary summary;
-        summary.root_lo = part.root_lo;
-        summary.root_hi = part.root_hi;
-        summary.leaves = part.leaves;
-        summary.level_nodes.reserve(depth);
-        for (const detail::csr_level& nodes : part.buffers.levels) {
-          summary.level_nodes.push_back(nodes.size());
-        }
-        summaries.push_back(std::move(summary));
-        // part (and its node buffers) dies here.
-      } else {
-        parts.push_back(std::move(part));
-      }
     };
 
     // Expands root span [lo, hi) on the calling thread into one chunk.
@@ -269,8 +205,8 @@ space_tree space_tree::generate_impl(const tp_group& group,
     if (pool == nullptr || root_range <= 1) {
       // Sequential generation on the calling thread in the ambient
       // evaluation context. The lazy backend still chunks the root range —
-      // its summaries are its storage, and finer chunks mean finer
-      // regeneration units — while the other backends expand one chunk.
+      // finer chunks mean finer regeneration units — while the other
+      // backends expand one chunk.
       if (lazy && root_range > 1) {
         const std::size_t target = std::min<std::uint64_t>(
             root_range, storage.lazy_target_chunks != 0
@@ -309,7 +245,6 @@ space_tree space_tree::generate_impl(const tp_group& group,
         queue.push({bounds[c], bounds[c + 1]});
       }
 
-      std::mutex consume_mutex;
       queue.drain(*pool, [&](chunk_task task) {
         // Lease a private evaluation context so this chunk's constraint
         // evaluations read/write slots disjoint from every concurrent chunk
@@ -330,7 +265,7 @@ space_tree space_tree::generate_impl(const tp_group& group,
           if (scheduler.should_split(part.buffers.visited_values, remaining,
                                      queue.starving())) {
             // Give away the tail half of the remaining span; the new chunk
-            // carries its own root_lo, so stitching stays order-exact.
+            // carries its own root_lo, so the chunk table stays order-exact.
             const std::uint64_t mid = (i + 1) + remaining / 2;
             queue.push({mid, hi});
             hi = mid;
@@ -339,7 +274,6 @@ space_tree space_tree::generate_impl(const tp_group& group,
         part.root_hi = hi;
         part.seconds = chunk_timer.elapsed_seconds();
         scheduler.complete(part.buffers.visited_values);
-        std::lock_guard lock(consume_mutex);
         consume(std::move(part));
       });
       tree.stats_.resplits = scheduler.resplits();
@@ -348,33 +282,18 @@ space_tree space_tree::generate_impl(const tp_group& group,
     // Chunks completed in scheduling order; restore root-value order. The
     // spans are disjoint and cover [0, root_range), so this is exactly the
     // sequential expansion order.
-    const auto by_root = [](const auto& a, const auto& b) {
-      return a.root_lo < b.root_lo;
-    };
-    std::sort(chunk_stats.begin(), chunk_stats.end(), by_root);
+    std::sort(chunk_stats.begin(), chunk_stats.end(),
+              [](const chunk_stat& a, const chunk_stat& b) {
+                return a.root_lo < b.root_lo;
+              });
 
     tree.leaf_total_ = leaf_total;
     tree.stats_.visited_values = visited_values;
     tree.stats_.dead_prefixes = dead_prefixes;
-    tree.stats_.chunks = chunks_expanded;
+    tree.stats_.chunks = chunk_stats.size();
     tree.stats_.per_chunk = std::move(chunk_stats);
-
-    if (lazy) {
-      std::sort(summaries.begin(), summaries.end(), by_root);
-      tree.storage_ = detail::make_lazy_storage(tree.params_,
-                                                std::move(summaries),
-                                                storage.chunk_cache_bytes);
-    } else {
-      std::sort(parts.begin(), parts.end(), by_root);
-      auto levels = stitch_levels(parts, depth);
-      parts.clear();
-      if (storage.backend == space_storage_backend::packed) {
-        tree.storage_ = detail::make_packed_storage(levels);
-      } else {
-        tree.storage_ = detail::make_dense_storage(std::move(levels));
-      }
-    }
   }
+  tree.storage_ = builder->finish();
   tree.stats_.seconds = timer.elapsed_seconds();
   tree.stats_.nodes = tree.node_count();
   tree.stats_.bytes = tree.memory_bytes();

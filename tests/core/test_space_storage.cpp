@@ -184,11 +184,100 @@ TEST(SpaceStorage, ChunkStatsReportBytes) {
   ASSERT_FALSE(dense.stats().per_chunk.empty());
   std::uint64_t total = 0;
   for (const auto& chunk : dense.stats().per_chunk) {
-    EXPECT_EQ(chunk.bytes, chunk.nodes * 24u);
+    // 24 B per inner node; a leaf (one per configuration) stores only its
+    // 4 B value index.
+    EXPECT_EQ(chunk.bytes, (chunk.nodes - chunk.leaves) * 24u +
+                               chunk.leaves * 4u);
     total += chunk.bytes;
   }
   EXPECT_GT(total, 0u);
   EXPECT_GT(dense.stats().bytes, 0u);
+}
+
+// The chunk table every backend shares, at its edges: each test compares
+// every backend, generated on a pool, against sequential dense.
+
+TEST(SpaceStorage, DepthOneGroupUnderPooledGeneration) {
+  // The root level is the leaf level: it stores value indices only, with no
+  // leaf_count array for root scans to read.
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, 200),
+                   atf::pred([](std::size_t v) { return v % 3 != 0; }));
+  const auto group = atf::G(a);
+  const auto dense = atf::space_tree::generate(group);
+  atf::common::thread_pool pool(3);
+  for (const auto backend : kBackends) {
+    const auto tree =
+        atf::space_tree::generate(group, pool, {}, policy_for(backend));
+    EXPECT_GE(tree.stats().chunks, 2u) << atf::to_string(backend);
+    expect_backend_identical(dense, tree, atf::to_string(backend));
+  }
+}
+
+TEST(SpaceStorage, ChunksWithoutLeavesAreDropped) {
+  // Only the ten powers of two survive A's constraint, so most root spans
+  // die whole; the aggressive policy re-splits even when nobody starves.
+  constexpr std::size_t n = 512;
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, n), atf::divides(n));
+  auto b = atf::tp("B", atf::interval<std::size_t>(1, n), atf::divides(n / a));
+  auto c = atf::tp("C", atf::interval<std::size_t>(1, n), atf::divides(b));
+  const auto group = atf::G(a, b, c);
+  const auto dense = atf::space_tree::generate(group);
+  atf::generation_policy aggressive;
+  aggressive.min_split_visited = 16;
+  aggressive.split_only_when_starving = false;
+  atf::common::thread_pool pool(3);
+  for (const auto backend : kBackends) {
+    const auto tree = atf::space_tree::generate(group, pool, aggressive,
+                                                policy_for(backend));
+    EXPECT_GE(tree.stats().resplits, 1u) << atf::to_string(backend);
+    if (backend != atf::space_storage_backend::lazy) {
+      std::size_t empty = 0;
+      for (const auto& chunk : tree.stats().per_chunk) {
+        empty += chunk.leaves == 0 ? 1 : 0;
+      }
+      EXPECT_GE(empty, 1u) << atf::to_string(backend);
+    }
+    expect_backend_identical(dense, tree, atf::to_string(backend));
+  }
+}
+
+TEST(SpaceStorage, RootNeighborMovesCrossChunkBoundaries) {
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, 64));
+  auto b = atf::tp("B", atf::interval<std::size_t>(1, 8), atf::divides(a));
+  const auto group = atf::G(a, b);
+  const auto dense = atf::space_tree::generate(group);
+  // The fixed pre-partition makes the chunk spans deterministic: 16 chunks
+  // of 4 root values (lazy refines them to one root value per chunk, so a
+  // crossing counted below is a crossing for lazy too).
+  atf::generation_policy fixed;
+  fixed.adaptive = false;
+  atf::common::thread_pool pool(3);
+  const auto chunks =
+      atf::space_tree::generate(group, pool, fixed).stats().per_chunk;
+  ASSERT_GE(chunks.size(), 2u);
+  const auto chunk_of_root = [&](std::uint64_t leaf) {
+    const auto root =
+        atf::from_tp_value<std::size_t>(dense.values_at(leaf)[0]) - 1;
+    std::size_t c = 0;
+    while (root >= chunks[c].root_hi) {
+      ++c;
+    }
+    return c;
+  };
+  for (const auto backend : kBackends) {
+    const auto tree =
+        atf::space_tree::generate(group, pool, fixed, policy_for(backend));
+    std::size_t crossings = 0;
+    for (std::uint64_t index = 0; index < dense.size(); ++index) {
+      atf::common::xoshiro256 rng_dense(index);
+      atf::common::xoshiro256 rng_other(index);
+      const std::uint64_t expected = dense.random_neighbor(index, rng_dense);
+      ASSERT_EQ(tree.random_neighbor(index, rng_other), expected)
+          << atf::to_string(backend) << " from leaf " << index;
+      crossings += chunk_of_root(expected) != chunk_of_root(index) ? 1 : 0;
+    }
+    EXPECT_GT(crossings, 0u) << atf::to_string(backend);
+  }
 }
 
 TEST(SpaceStorage, EmptyGroupWorksInEveryBackend) {
