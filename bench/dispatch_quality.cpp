@@ -41,18 +41,16 @@ int main(int argc, char** argv) {
                                        {352, 224, 96},  {256, 256, 256},
                                        {320, 320, 128}, {192, 192, 192}};
 
-  blasmini::tuning_db db;
   blasmini::dispatch_options opts;
   opts.tuning.evaluations = evaluations;
-  // Unjournaled in --small (pure nearest-neighbour keeps the sanitizer run
-  // lean); journaled + surrogate-re-ranked in the full sweep.
-  if (!small) {
-    opts.journal_dir = "/tmp/dispatch_quality_journals";
-    (void)std::system(("rm -rf '" + opts.journal_dir + "' && mkdir -p '" +
-                       opts.journal_dir + "'")
-                          .c_str());
-  }
-  blasmini::dispatcher dispatch(dev, &db, opts);
+  opts.journal_dir = "/tmp/dispatch_quality_journals";
+  (void)std::system(("rm -rf '" + opts.journal_dir + "' && mkdir -p '" +
+                     opts.journal_dir + "'")
+                        .c_str());
+  // Pure nearest-neighbour in --small keeps the sanitizer run lean; the
+  // full sweep is surrogate-re-ranked.
+  opts.surrogate_rerank = !small;
+  blasmini::dispatcher dispatch(dev, opts);
 
   const auto grid = blasmini::size_grid::parse(grid_spec);
   const auto t0 = std::chrono::steady_clock::now();
@@ -78,8 +76,8 @@ int main(int argc, char** argv) {
         shape.m, shape.n, shape.k, xg::params::defaults());
 
     // Oracle: tune the exact shape at the same budget, without touching the
-    // dispatcher's database.
-    blasmini::gemm_executor oracle(dev, nullptr);
+    // dispatcher's journals.
+    blasmini::gemm_executor oracle(dev);
     blasmini::tune_options oracle_opts = opts.tuning;
     const auto oracle_params =
         oracle.tune(shape.m, shape.n, shape.k, oracle_opts);

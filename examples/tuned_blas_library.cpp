@@ -2,14 +2,14 @@
 // (CLBlast-style), built on ATF — now with multi-size dynamic dispatch:
 //
 //   1. Install time: grid-tune a set of representative GEMM shapes, each
-//      under its own crash-safe session journal, winners persisted in the
-//      tuning database.
+//      under its own crash-safe journal — the per-key layout atf_served
+//      serves, so a daemon over the same directory answers these shapes.
 //   2. Application, cold call: a shape the grid never saw is served its
 //      nearest tuned neighbour's configuration (log-size metric, surrogate
 //      re-ranking over the journals) — already faster than the built-in
 //      defaults, and the shape is queued for background refinement.
 //   3. Refinement: the queue is drained by an exact-shape tune; the same
-//      call is now an exact database hit served at full tuned speed.
+//      call is now an exact hit served at full tuned speed.
 //
 // Build & run:  ./examples/tuned_blas_library
 #include <cstdio>
@@ -53,38 +53,30 @@ void report(blasmini::dispatcher& dispatch, std::size_t m, std::size_t n,
 }  // namespace
 
 int main() {
-  const std::string db_path = "/tmp/blasmini_example_db.tsv";
   const std::string journal_dir = "/tmp/blasmini_example_journals";
   (void)std::system(("rm -rf '" + journal_dir + "' && mkdir -p '" +
                      journal_dir + "'")
                         .c_str());
 
   const auto dev = ocls::find_device("NVIDIA", "K20m");
+  blasmini::dispatch_options opts;
+  opts.journal_dir = journal_dir;  // crash-safe: SIGKILL + rerun resumes
+  opts.tuning.evaluations = 400;
 
   // --- "Install-time" grid tune -------------------------------------------
   {
-    blasmini::tuning_db db;
-    blasmini::dispatch_options opts;
-    opts.journal_dir = journal_dir;  // crash-safe: SIGKILL + rerun resumes
-    opts.tuning.evaluations = 400;
-    blasmini::dispatcher dispatch(dev, &db, opts);
-
+    blasmini::dispatcher dispatch(dev, opts);
     const auto grid = blasmini::size_grid::parse("96,384x96,384x96,256");
     std::printf("grid-tuning %zu shapes on %s (journals in %s)...\n",
                 grid.sizes.size(), dev.name().c_str(), journal_dir.c_str());
     dispatch.tune_grid(grid);
-    db.save(db_path);
-    std::printf("database saved: %s (%zu entries), re-ranker trained on %zu "
-                "journal records\n\n",
-                db_path.c_str(), db.size(), dispatch.rerank_samples());
+    std::printf("%zu sizes tuned, re-ranker trained on %zu journal "
+                "records\n\n",
+                dispatch.known_sizes().size(), dispatch.rerank_samples());
   }
 
-  // --- "Application" process: reload and dispatch -------------------------
-  auto db = blasmini::tuning_db::load(db_path);
-  blasmini::dispatch_options opts;
-  opts.journal_dir = journal_dir;  // re-ranker retrains from the journals
-  opts.tuning.evaluations = 400;
-  blasmini::dispatcher dispatch(dev, &db, opts);
+  // --- "Application" process: reload the journals and dispatch -----------
+  blasmini::dispatcher dispatch(dev, opts);
 
   std::printf("grid shapes dispatch as exact hits:\n");
   report(dispatch, 96, 96, 96);
@@ -94,15 +86,13 @@ int main() {
   report(dispatch, 144, 320, 96);
 
   // Every cold dispatch queued its shape for exact-shape refinement.
-  const auto pending = dispatch.pending_refinements();
   std::printf("\n%zu shapes pending refinement; tuning the first...\n",
-              pending.size());
+              dispatch.pending_refinements());
   dispatch.refine(1);
 
   std::printf("after refinement the same call is an exact hit:\n");
   report(dispatch, 256, 192, 160);
 
-  std::remove(db_path.c_str());
   (void)std::system(("rm -rf '" + journal_dir + "'").c_str());
   return 0;
 }

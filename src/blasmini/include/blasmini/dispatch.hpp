@@ -4,43 +4,44 @@
 // workflow).
 //
 // A library tune targets one problem size; production traffic has arbitrary
-// sizes. The dispatcher closes the gap in three stages:
+// sizes. The dispatcher closes the gap in three stages, all on the store
+// and queue of an in-process atf::service::tuning_service (DESIGN.md §13):
+// one crash-safe journal per key {"xgemm", device name, "MxNxK"}, named by
+// service_key::file_stem(), which is also exactly what atf_served serves.
 //
 //   1. Grid tuning. tune_grid() tunes the kernel over a configurable
-//      problem-size grid, each grid point under its own crash-safe session
-//      journal (DESIGN.md §9) — a SIGKILLed grid tune resumed on the same
-//      journal directory replays every measured prefix from the stores and
-//      converges bit-identically to the uninterrupted run. Winners land in
-//      the shared tuning_db, exactly like single-shape tunes.
-//   2. Size-aware dispatch. dispatch(m, n, k) serves exact database hits
+//      problem-size grid, each grid point under its own per-key journal
+//      (DESIGN.md §9) — a SIGKILLed grid tune resumed on the same journal
+//      directory replays every measured prefix from the stores and
+//      converges bit-identically to the uninterrupted run.
+//   2. Size-aware dispatch. dispatch(m, n, k) serves a key's journal best
 //      directly; an *unseen* size gets the configuration of its nearest
 //      tuned neighbour under the log-size metric
 //          d = sqrt(sum_i (ln a_i - ln b_i)^2),  i in {m, n, k}
-//      (relative size differences matter, absolute ones do not). When the
-//      per-size journals are available, a surrogate forest trained on every
-//      journal record re-ranks the k nearest neighbours' best
-//      configurations at the query size and may overrule plain
-//      nearest-neighbour. Every served configuration is constraint-checked
-//      against the query shape; the kernel defaults remain the final
-//      fallback.
-//   3. Background refinement. A dispatch miss enqueues the exact shape on a
-//      bounded refinement queue; refine() drains it by exact-shape tuning
-//      (journaled like grid points), so a hot production size graduates
-//      from "served nearest config" to "served its own tuned config".
+//      (relative size differences matter, absolute ones do not). A
+//      surrogate forest trained on the journals' search measurements
+//      re-ranks the nearest neighbours' best configurations at the query
+//      size and may overrule plain nearest-neighbour. Every served configuration is
+//      constraint-checked against the query shape; the kernel defaults
+//      remain the final fallback.
+//   3. Background refinement. A dispatch miss enqueues the exact shape on
+//      the service's bounded refinement queue; refine() drains it by
+//      exact-shape tuning, so a hot production size graduates from
+//      "served nearest config" to "served its own tuned config".
+//
+// Journals written before the per-key naming ("<device>-MxNxK.jsonl") and
+// the old tab-separated tuning databases are not read.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "atf/kernels/xgemm_direct.hpp"
 #include "atf/search/surrogate_model.hpp"
-#include "atf/session/result_store.hpp"
+#include "atf/service/service.hpp"
 #include "blasmini/gemm.hpp"
-#include "blasmini/tuning_db.hpp"
 #include "ocls/ocls.hpp"
 
 namespace blasmini {
@@ -66,37 +67,32 @@ struct size_grid {
 };
 
 /// Dispatch policy knobs. The defaults serve nearest-neighbour with
-/// surrogate re-ranking over 3 neighbours when journals are present.
+/// surrogate re-ranking over 3 neighbours.
 struct dispatch_options {
   /// Budget/technique/seed template for grid and refinement tunes. The
   /// per-size seed is derived from this seed and the problem signature, so
   /// grid points explore independent streams deterministically. The
   /// journal field is ignored (journal_dir owns per-size paths).
   tune_options tuning;
-  /// Non-empty: per-size session journals live here ("<device>-<sig>.jsonl")
-  /// and grid tuning becomes crash-safe and warm-startable. Empty: tunes
-  /// are unjournaled and re-ranking stays off (no training data).
+  /// Required: the per-key journal directory ("<file_stem>.jsonl"), the
+  /// same layout atf_served --journal-dir reads. Must exist.
   std::string journal_dir;
-  /// Stored sizes considered per query (k of the k-nearest-neighbour step).
-  std::size_t neighbors = 3;
   /// Re-rank the neighbours' configurations with a surrogate forest trained
-  /// on the per-size journal records (requires journal_dir).
+  /// on the per-size journal records.
   bool surrogate_rerank = true;
   /// Valid journal records required before the re-ranker trains; below the
   /// gate dispatch stays plain nearest-neighbour.
   std::size_t min_rerank_samples = 64;
-  /// Seed of the re-ranker forest (independent of the tuning seed).
-  std::uint64_t rerank_seed = 0x5eed;
   /// Refinement-queue bound; older pending shapes are kept, new misses
-  /// beyond the bound are dropped.
+  /// beyond the bound are dropped (and counted).
   std::size_t max_pending = 64;
 };
 
 class dispatcher {
 public:
-  /// `db` must outlive the dispatcher and may be shared with plain
-  /// gemm_executor users; grid and refinement winners are stored into it.
-  dispatcher(ocls::device dev, tuning_db* db, dispatch_options opts = {});
+  /// Loads every journal under opts.journal_dir. Throws
+  /// atf::service::service_error when journal_dir is empty.
+  dispatcher(ocls::device dev, dispatch_options opts);
 
   /// Tunes every grid size in order (skipping nothing — completed sizes
   /// resume instantly from their journals) and reloads the dispatch state.
@@ -120,32 +116,26 @@ public:
   /// but an exact hit) are enqueued for refinement as a side effect.
   decision dispatch(std::size_t m, std::size_t n, std::size_t k);
 
-  /// dispatch().params — the drop-in replacement for
-  /// gemm_executor::params_for once a grid is tuned.
-  atf::kernels::xgemm::params params_for(std::size_t m, std::size_t n,
-                                         std::size_t k);
-
   /// Dispatches and executes in one step; returns the modeled kernel time.
   double run(std::size_t m, std::size_t n, std::size_t k,
              std::span<const float> a, std::span<const float> b,
              std::span<float> c);
 
-  /// Shapes waiting for exact-shape refinement, oldest first.
-  [[nodiscard]] std::vector<atf::kernels::xgemm::problem>
-  pending_refinements() const;
+  /// Shapes waiting for exact-shape refinement (the service queue depth).
+  [[nodiscard]] std::size_t pending_refinements() const;
 
   /// Drains up to `max_tunes` pending shapes by exact-shape tuning
   /// (journaled like grid points); returns the number tuned. Subsequent
   /// dispatches of a refined shape are exact hits.
   std::size_t refine(std::size_t max_tunes = 1);
 
-  /// Journal path of one problem signature under journal_dir (empty when
-  /// journals are disabled). Exposed so tests and tools can stage crashes.
+  /// Journal path of one problem signature under journal_dir. Exposed so
+  /// tests and tools can stage crashes.
   [[nodiscard]] std::string journal_path(const std::string& signature) const;
 
-  /// Re-reads the database and every per-size journal and refits the
-  /// re-ranker — a fresh process pointed at an existing database/journal
-  /// directory calls this (tune_grid and refine do it automatically).
+  /// Re-reads every per-key journal and refits the re-ranker — a fresh
+  /// process pointed at an existing journal directory gets this from the
+  /// constructor (tune_grid and refine do it automatically).
   void reload();
 
   /// Stored sizes dispatch currently selects among (ascending signature).
@@ -156,13 +146,10 @@ public:
     return rerank_samples_;
   }
 
-  /// Misses dropped because the refinement queue was full — previously a
-  /// silent loss. Operators watch this (atf_served surfaces it in its
-  /// stats) to size max_pending; it only ever grows, refine() does not
-  /// reset it.
-  [[nodiscard]] std::uint64_t dropped_refinements() const noexcept {
-    return dropped_refinements_;
-  }
+  /// Misses dropped because the refinement queue was full. Operators watch
+  /// this to size max_pending; it only ever grows, refine() does not reset
+  /// it.
+  [[nodiscard]] std::uint64_t dropped_refinements() const;
 
   [[nodiscard]] const dispatch_options& options() const noexcept {
     return opts_;
@@ -173,24 +160,24 @@ private:
   struct stored_size {
     atf::kernels::xgemm::problem shape;
     std::string signature;
-    atf::kernels::xgemm::params params;  ///< the db winner for this shape
+    atf::kernels::xgemm::params params;  ///< the journal best for this shape
   };
 
-  /// Tunes one shape under its per-size journal/seed and stores the winner.
+  [[nodiscard]] atf::service::service_key key_of(
+      const std::string& signature) const;
+  /// Tunes one shape under its per-key journal and seed.
   void tune_one(const atf::kernels::xgemm::problem& shape);
-  void enqueue_refinement(const atf::kernels::xgemm::problem& shape);
-  [[nodiscard]] std::uint64_t seed_for(const std::string& signature) const;
+  /// Rebuilds stored_ and the re-ranker from the service's snapshot.
+  void rebuild();
 
   ocls::device device_;
-  tuning_db* db_;
   dispatch_options opts_;
   gemm_executor executor_;
 
   std::vector<stored_size> stored_;         ///< ascending signature
   atf::search::surrogate_model reranker_;
   std::size_t rerank_samples_ = 0;
-  std::deque<atf::kernels::xgemm::problem> pending_;
-  std::uint64_t dropped_refinements_ = 0;
+  atf::service::tuning_service service_;    ///< refine_fn calls tune_one
 };
 
 }  // namespace blasmini

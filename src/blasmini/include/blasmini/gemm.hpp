@@ -2,14 +2,14 @@
 // simulator and ATF: the downstream-consumer layer of the auto-tuning
 // pipeline.
 //
-//   blasmini::gemm_executor gemm(device, &db);
-//   gemm.tune(m, n, k);                   // once per device/shape; fills db
-//   auto t = gemm.run(m, n, k, A, B, C);  // dispatches with tuned params
+//   blasmini::gemm_executor gemm(device);
+//   auto p = gemm.tune(m, n, k, opts);           // opts.journal: where to keep it
+//   auto t = gemm.run_with(p, m, n, k, A, B, C);  // executes with those params
 //
-// run() uses, in order of preference: the database entry for the exact
-// (device, shape); otherwise the kernel's built-in defaults — the same
-// fallback logic CLBlast applies, whose performance consequences Section
-// VI-B quantifies.
+// The tuned result lives in the tune's session journal; blasmini::dispatcher
+// reads those journals back and picks the parameters for any shape, falling
+// back to the kernel's built-in defaults — the same fallback logic CLBlast
+// applies, whose performance consequences Section VI-B quantifies.
 #pragma once
 
 #include <cstddef>
@@ -17,9 +17,9 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "atf/kernels/xgemm_direct.hpp"
-#include "blasmini/tuning_db.hpp"
 #include "ocls/ocls.hpp"
 
 namespace blasmini {
@@ -44,40 +44,33 @@ struct tune_options {
   std::function<void()> on_measure;
 };
 
-/// Rebuilds kernel parameters from a database record, falling back to the
-/// kernel defaults *per parameter* for missing or unparsable values — a
-/// hand-edited or corrupt database line degrades gracefully, it never
-/// throws at dispatch time.
-[[nodiscard]] atf::kernels::xgemm::params params_from_record(
-    const record& config);
+/// Technique tag of the journal record the never-below-defaults guard of
+/// gemm_executor::tune appends.
+inline constexpr std::string_view defaults_technique = "defaults";
 
 class gemm_executor {
 public:
-  /// `db` may be null: every dispatch then uses the kernel defaults.
-  explicit gemm_executor(ocls::device dev, tuning_db* db = nullptr);
+  explicit gemm_executor(ocls::device dev);
 
   /// Tunes XgemmDirect for this shape with ATF under an evaluation budget
-  /// and stores the best configuration in the database. Returns the
-  /// best-found parameters. This overload keeps the historical defaults
-  /// (ensemble search, no journal).
+  /// and returns the best-found parameters — never slower than the kernel
+  /// defaults. This overload keeps the historical defaults (ensemble
+  /// search, no journal).
   atf::kernels::xgemm::params tune(std::size_t m, std::size_t n,
                                    std::size_t k,
                                    std::uint64_t evaluations = 20'000,
                                    std::uint64_t seed = 1);
 
   /// Full-control overload: technique, budget, seed and session journal.
+  /// When the defaults beat the tuned best, they are returned and, with a
+  /// journal, appended to it as one measured record: the journal's best,
+  /// which every reader serves, is then never slower than the defaults.
   atf::kernels::xgemm::params tune(std::size_t m, std::size_t n,
                                    std::size_t k, const tune_options& opts);
 
   /// Computes C[m x n] = A[m x k] * B[k x n] functionally on the simulated
-  /// device using the best-known parameters; returns the modeled kernel
-  /// time in nanoseconds.
-  double run(std::size_t m, std::size_t n, std::size_t k,
-             std::span<const float> a, std::span<const float> b,
-             std::span<float> c) const;
-
-  /// run() with explicit parameters instead of the db/defaults chain — the
-  /// entry point the size dispatcher executes its decisions through.
+  /// device with parameters `p`; returns the modeled kernel time in
+  /// nanoseconds. The size dispatcher executes its decisions through this.
   double run_with(const atf::kernels::xgemm::params& p, std::size_t m,
                   std::size_t n, std::size_t k, std::span<const float> a,
                   std::span<const float> b, std::span<float> c) const;
@@ -90,15 +83,9 @@ public:
       std::size_t m, std::size_t n, std::size_t k,
       const atf::kernels::xgemm::params& p) const;
 
-  /// The parameters run() would use for this shape (db entry or defaults).
-  [[nodiscard]] atf::kernels::xgemm::params params_for(std::size_t m,
-                                                       std::size_t n,
-                                                       std::size_t k) const;
-
   [[nodiscard]] const ocls::device& device() const noexcept {
     return device_;
   }
-  [[nodiscard]] tuning_db* db() const noexcept { return db_; }
 
   [[nodiscard]] static std::string problem_signature(std::size_t m,
                                                      std::size_t n,
@@ -106,7 +93,6 @@ public:
 
 private:
   ocls::device device_;
-  tuning_db* db_;
 };
 
 }  // namespace blasmini

@@ -7,13 +7,19 @@
 
 #include "atf/common/hash.hpp"
 #include "atf/common/string_utils.hpp"
-#include "atf/session/journal.hpp"
 
 namespace blasmini {
 
 namespace xg = atf::kernels::xgemm;
 
 namespace {
+
+/// The service-key kernel name of every GEMM journal (the registry family).
+constexpr const char* kernel_name = "xgemm";
+/// Stored sizes considered per query (k of the k-nearest-neighbour step).
+constexpr std::size_t rerank_neighbors = 3;
+/// Seed of the re-ranker forest (independent of the tuning seed).
+constexpr std::uint64_t rerank_seed = 0x5eed;
 
 std::size_t parse_extent(const std::string& text) {
   // stoull accepts "-4" (wrapping to a huge value), leading whitespace and
@@ -74,18 +80,6 @@ double log_distance(const xg::problem& a, const xg::problem& b) {
     return d * d;
   };
   return std::sqrt(axis(a.m, b.m) + axis(a.n, b.n) + axis(a.k, b.k));
-}
-
-/// File-name-safe rendering of a device name ("Tesla K20m" -> "Tesla_K20m").
-std::string sanitize(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '.';
-    out += keep ? c : '_';
-  }
-  return out;
 }
 
 /// Feature vector of the re-ranker: the query shape and the configuration,
@@ -163,30 +157,40 @@ size_grid size_grid::parse(const std::string& spec) {
   return grid;
 }
 
-dispatcher::dispatcher(ocls::device dev, tuning_db* db, dispatch_options opts)
-    : device_(dev), db_(db), opts_(std::move(opts)), executor_(dev, db) {
+dispatcher::dispatcher(ocls::device dev, dispatch_options opts)
+    : device_(dev),
+      opts_(std::move(opts)),
+      executor_(dev),
+      service_({.journal_dir = opts_.journal_dir,
+                .max_pending = opts_.max_pending},
+               [this](const atf::service::service_key& key,
+                      const std::string&) {
+                 const auto shape = parse_signature(key.size);
+                 if (!shape.has_value()) {
+                   return false;
+                 }
+                 tune_one(*shape);
+                 return true;
+               }) {
   reload();
 }
 
-std::string dispatcher::journal_path(const std::string& signature) const {
-  if (opts_.journal_dir.empty()) {
-    return {};
-  }
-  return opts_.journal_dir + "/" + sanitize(device_.name()) + "-" +
-         sanitize(signature) + ".jsonl";
+atf::service::service_key dispatcher::key_of(
+    const std::string& signature) const {
+  return {kernel_name, device_.name(), signature};
 }
 
-std::uint64_t dispatcher::seed_for(const std::string& signature) const {
-  // Independent deterministic streams per grid point: the base seed XORed
-  // with the signature's content hash (stable across builds and machines).
-  return opts_.tuning.seed ^ atf::common::fnv1a(signature);
+std::string dispatcher::journal_path(const std::string& signature) const {
+  return service_.journal_path(key_of(signature));
 }
 
 void dispatcher::tune_one(const xg::problem& shape) {
   const std::string signature =
       gemm_executor::problem_signature(shape.m, shape.n, shape.k);
   tune_options topts = opts_.tuning;
-  topts.seed = seed_for(signature);
+  // Independent deterministic streams per grid point: the base seed XORed
+  // with the signature's content hash (stable across builds and machines).
+  topts.seed = opts_.tuning.seed ^ atf::common::fnv1a(signature);
   topts.journal = journal_path(signature);
   executor_.tune(shape.m, shape.n, shape.k, topts);
 }
@@ -200,64 +204,61 @@ std::size_t dispatcher::tune_grid(const size_grid& grid) {
 }
 
 void dispatcher::reload() {
+  service_.load();
+  rebuild();
+}
+
+void dispatcher::rebuild() {
   stored_.clear();
   reranker_.reset();
   rerank_samples_ = 0;
-  if (db_ == nullptr) {
-    return;
-  }
 
-  for (auto& [signature, config] :
-       db_->entries_for(device_.name(), "XgemmDirect")) {
-    const auto shape = parse_signature(signature);
-    if (!shape.has_value()) {
-      continue;  // foreign problem key — not a GEMM shape
+  // The snapshot map is ordered by "kernel/device/size", so this device's
+  // GEMM keys arrive in ascending signature order.
+  const auto snapshot = service_.current_snapshot();
+  std::vector<const atf::session::result_store*> stores;
+  for (const auto& [name, state] : snapshot->keys) {
+    if (state->key.kernel != kernel_name ||
+        state->key.device != device_.name() || !state->best.has_value()) {
+      continue;  // another family or device, or nothing valid measured yet
     }
-    stored_.push_back({*shape, signature, params_from_record(config)});
+    const auto shape = parse_signature(state->key.size);
+    const auto p = params_from_tuning_record(*state->best);
+    if (!shape.has_value() || !p.has_value()) {
+      continue;  // foreign problem key or record — not a GEMM shape
+    }
+    stored_.push_back({*shape, state->key.size, *p});
+    stores.push_back(&state->store);
   }
 
-  if (!opts_.surrogate_rerank || opts_.journal_dir.empty()) {
+  if (!opts_.surrogate_rerank) {
     return;
   }
-  // Train the re-ranker on every per-size journal record, sizes in stored
-  // (ascending-signature) order, records in journal order: both orders are
-  // reproducible across crash-resume cycles, so the fitted forest — and
-  // every dispatch it decides — is too.
+  // Train the re-ranker on every record the searches measured, sizes in
+  // stored (ascending-signature) order, records in journal order: both
+  // orders are reproducible across crash-resume cycles, so the fitted
+  // forest — and every dispatch it decides — is too. The guard's defaults
+  // records are not search measurements and stay out of the training set.
   std::vector<atf::search::feature_vector> features;
   std::vector<double> targets;
-  for (const stored_size& entry : stored_) {
-    const auto report =
-        atf::session::read_journal(journal_path(entry.signature));
-    for (const auto& rec : report.records) {
-      if (!rec.valid || !std::isfinite(rec.scalar)) {
+  for (std::size_t i = 0; i < stored_.size(); ++i) {
+    for (const auto& rec : stores[i]->records()) {
+      if (!rec.valid || !std::isfinite(rec.scalar) ||
+          rec.technique == defaults_technique) {
         continue;
       }
       const auto p = params_from_tuning_record(rec);
       if (!p.has_value()) {
         continue;
       }
-      features.push_back(rerank_features(entry.shape, *p));
+      features.push_back(rerank_features(stored_[i].shape, *p));
       targets.push_back(std::asinh(rec.scalar));
     }
   }
   if (features.size() >= opts_.min_rerank_samples) {
-    reranker_.fit(features, targets, opts_.rerank_seed);
+    reranker_.fit(features, targets, rerank_seed);
     rerank_samples_ = features.size();
   }
-}
-
-void dispatcher::enqueue_refinement(const xg::problem& shape) {
-  const auto same = [&](const xg::problem& p) {
-    return p.m == shape.m && p.n == shape.n && p.k == shape.k;
-  };
-  if (std::any_of(pending_.begin(), pending_.end(), same)) {
-    return;  // already queued: a repeat miss is not a drop
-  }
-  if (pending_.size() >= opts_.max_pending) {
-    ++dropped_refinements_;  // count what used to vanish silently
-    return;
-  }
-  pending_.push_back(shape);
 }
 
 dispatcher::decision dispatcher::dispatch(std::size_t m, std::size_t n,
@@ -271,7 +272,7 @@ dispatcher::decision dispatcher::dispatch(std::size_t m, std::size_t n,
       return {entry.params, source::exact, {}, 0.0};
     }
   }
-  enqueue_refinement(query);
+  service_.enqueue(key_of(signature));
 
   // The k nearest tuned shapes in log-size space, constraint-checked at the
   // query shape. Ties break on the signature so the order never depends on
@@ -294,8 +295,8 @@ dispatcher::decision dispatcher::dispatch(std::size_t m, std::size_t n,
   if (nearest.empty()) {
     return {xg::params::defaults(), source::defaults, {}, 0.0};
   }
-  if (nearest.size() > opts_.neighbors) {
-    nearest.resize(opts_.neighbors);
+  if (nearest.size() > rerank_neighbors) {
+    nearest.resize(rerank_neighbors);
   }
 
   const stored_size* chosen = nearest.front();
@@ -320,31 +321,24 @@ dispatcher::decision dispatcher::dispatch(std::size_t m, std::size_t n,
           log_distance(query, chosen->shape)};
 }
 
-xg::params dispatcher::params_for(std::size_t m, std::size_t n,
-                                  std::size_t k) {
-  return dispatch(m, n, k).params;
-}
-
 double dispatcher::run(std::size_t m, std::size_t n, std::size_t k,
                        std::span<const float> a, std::span<const float> b,
                        std::span<float> c) {
   return executor_.run_with(dispatch(m, n, k).params, m, n, k, a, b, c);
 }
 
-std::vector<xg::problem> dispatcher::pending_refinements() const {
-  return {pending_.begin(), pending_.end()};
+std::size_t dispatcher::pending_refinements() const {
+  return service_.stats().pending;
+}
+
+std::uint64_t dispatcher::dropped_refinements() const {
+  return service_.stats().dropped_refinements;
 }
 
 std::size_t dispatcher::refine(std::size_t max_tunes) {
-  std::size_t tuned = 0;
-  while (tuned < max_tunes && !pending_.empty()) {
-    const xg::problem shape = pending_.front();
-    pending_.pop_front();
-    tune_one(shape);
-    ++tuned;
-  }
+  const std::size_t tuned = service_.refine_pending(max_tunes);
   if (tuned > 0) {
-    reload();
+    rebuild();
   }
   return tuned;
 }

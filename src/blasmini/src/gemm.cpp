@@ -1,57 +1,44 @@
 #include "blasmini/gemm.hpp"
 
 #include <stdexcept>
-#include <type_traits>
 
 #include "atf/kernels/registry.hpp"
+#include "atf/session/cost_codec.hpp"
+#include "atf/session/session.hpp"
 
 namespace blasmini {
 
 namespace xg = atf::kernels::xgemm;
 
-xg::params params_from_record(const record& config) {
-  ocls::define_map defines;
-  for (const auto& [name, value] : config) {
-    defines.set(name, value);
+namespace {
+
+/// Appends the defaults' measurement to the journal at `path` unless an
+/// earlier run already journaled that configuration.
+void journal_defaults(const std::string& path, double time_ns) {
+  atf::configuration config;
+  xg::visit_knobs(xg::params::defaults(),
+                  [&](const char* name, const auto& value) {
+                    config.add(name, atf::to_tp_value(value));
+                  });
+  auto record = atf::session::tuning_record::from_configuration(config);
+  const auto session = atf::session::tuning_session::open(path);
+  if (session->store().contains(record.config_hash)) {
+    return;
   }
-  xg::params p;  // the defaults; each parameter overridden independently
-  xg::visit_knobs(p, [&](const char* name, auto& field) {
-    try {
-      if (!defines.contains(name)) {
-        return;
-      }
-      if constexpr (std::is_same_v<std::remove_reference_t<decltype(field)>,
-                                   bool>) {
-        field = defines.get_bool(name);
-      } else {
-        field = defines.get_uint(name);
-      }
-    } catch (const ocls::error&) {
-      // unparsable value: keep the default
-    }
-  });
-  return p;
+  record.technique = defaults_technique;
+  record.scalar = time_ns;
+  record.cost = atf::session::cost_codec<double>::encode(time_ns);
+  session->append(std::move(record));
 }
 
-gemm_executor::gemm_executor(ocls::device dev, tuning_db* db)
-    : device_(std::move(dev)), db_(db) {}
+}  // namespace
+
+gemm_executor::gemm_executor(ocls::device dev) : device_(std::move(dev)) {}
 
 std::string gemm_executor::problem_signature(std::size_t m, std::size_t n,
                                              std::size_t k) {
   return std::to_string(m) + "x" + std::to_string(n) + "x" +
          std::to_string(k);
-}
-
-xg::params gemm_executor::params_for(std::size_t m, std::size_t n,
-                                     std::size_t k) const {
-  if (db_ != nullptr) {
-    const auto hit = db_->lookup(device_.name(), "XgemmDirect",
-                                 problem_signature(m, n, k));
-    if (hit.has_value()) {
-      return params_from_record(*hit);
-    }
-  }
-  return xg::params::defaults();
 }
 
 xg::params gemm_executor::tune(std::size_t m, std::size_t n, std::size_t k,
@@ -89,27 +76,21 @@ xg::params gemm_executor::tune(std::size_t m, std::size_t n, std::size_t k,
     throw std::runtime_error("gemm_executor::tune: no valid configuration");
   }
 
-  const xg::problem prob{m, n, k};
-  xg::params p = xg::params_from(outcome.best);
   // A tuned library must never regress below its shipped defaults: if the
   // search budget was too small to beat them, keep the defaults (the same
   // guard CLBlast applies when adopting tuner output).
-  if (xg::valid(prob, xg::params::defaults(), xg::size_mode::general,
-                xg::device_limits::of(device_.profile())) &&
-      modeled_time_ns(m, n, k, xg::params::defaults()) < outcome.best_ns) {
-    p = xg::params::defaults();
-  }
-  if (db_ != nullptr) {
-    ocls::define_map defines;
-    p.to_defines(defines);
-    record config;
-    for (const auto& [name, value] : defines.all()) {
-      config[name] = value;
+  const xg::params defaults = xg::params::defaults();
+  if (xg::valid({m, n, k}, defaults, xg::size_mode::general,
+                xg::device_limits::of(device_.profile()))) {
+    const double defaults_ns = modeled_time_ns(m, n, k, defaults);
+    if (defaults_ns < outcome.best_ns) {
+      if (!opts.journal.empty()) {
+        journal_defaults(opts.journal, defaults_ns);
+      }
+      return defaults;
     }
-    db_->store(device_.name(), "XgemmDirect", problem_signature(m, n, k),
-               std::move(config));
   }
-  return p;
+  return xg::params_from(outcome.best);
 }
 
 double gemm_executor::modeled_time_ns(std::size_t m, std::size_t n,
@@ -123,12 +104,6 @@ double gemm_executor::modeled_time_ns(std::size_t m, std::size_t n,
               xg::launch_range(prob, p, xg::size_mode::general), {},
               xg::make_defines(prob, p))
       .profile_ns();
-}
-
-double gemm_executor::run(std::size_t m, std::size_t n, std::size_t k,
-                          std::span<const float> a, std::span<const float> b,
-                          std::span<float> c) const {
-  return run_with(params_for(m, n, k), m, n, k, a, b, c);
 }
 
 double gemm_executor::run_with(const xg::params& p, std::size_t m,

@@ -11,8 +11,9 @@
 // on a writer mutex and publish by swapping the pointer.
 //
 // Miss path. A `get` for an unknown (or not-yet-measured) key is enqueued
-// on a bounded dedup queue — the blasmini::dispatcher refinement pattern —
-// and answered immediately with a miss. The background refiner thread
+// on a bounded dedup queue — the one refinement queue, which
+// blasmini::dispatcher also routes its misses through — and answered
+// immediately with a miss. The background refiner thread
 // drains the queue in batches: for each key it calls the pluggable
 // refine_fn, which appends measurements to the key's journal (typically by
 // running a journaled, warm-started tune), then the service re-reads the
@@ -129,6 +130,10 @@ public:
   /// will re-enqueue on their next miss. Idempotent; called by ~.
   void stop();
 
+  /// Queues `key` for refinement unless it is already pending; a full
+  /// queue counts the miss as dropped. Returns {enqueued, dropped}.
+  std::pair<bool, bool> enqueue(const service_key& key);
+
   /// Synchronously drains up to `max_keys` queued refinements on the
   /// caller's thread — deterministic alternative to start() for tests and
   /// tools. Must not race a running refiner thread.
@@ -156,8 +161,6 @@ public:
 
 private:
   [[nodiscard]] std::string handle_get(const service_key& key);
-  /// Returns {enqueued, dropped}.
-  std::pair<bool, bool> enqueue(const service_key& key);
   /// Pops one key; nullopt when empty.
   std::optional<service_key> pop();
   /// Runs refine_fn for one key and publishes its new state.

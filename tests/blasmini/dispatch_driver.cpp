@@ -39,10 +39,8 @@ int main(int argc, char** argv) {
   const auto kill_after =
       argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 0ull;
 
-  // The database is rebuilt from the journals on every run (completed grid
-  // points replay their measured prefix from the store instantly), so only
-  // the journal directory needs to survive the crash.
-  blasmini::tuning_db db;
+  // Completed grid points replay their measured prefix from their journals
+  // instantly, so only the journal directory needs to survive the crash.
   blasmini::dispatch_options opts;
   opts.journal_dir = journal_dir;
   opts.tuning.evaluations = evaluations;
@@ -57,8 +55,7 @@ int main(int argc, char** argv) {
     }
   };
 
-  blasmini::dispatcher dispatch(ocls::find_device("NVIDIA", "K20m"), &db,
-                                opts);
+  blasmini::dispatcher dispatch(ocls::find_device("NVIDIA", "K20m"), opts);
   dispatch.tune_grid(grid);
 
   std::string known;

@@ -1,95 +1,31 @@
-// Tests for the blasmini downstream layer: the tuning database (store /
-// lookup / persistence round-trip) and the auto-tuned GEMM executor
-// (correct results, default fallback, tuned-beats-defaults, database
-// consumption).
+// Tests for the blasmini downstream layer: the auto-tuned GEMM executor
+// (correct results, tuned-beats-defaults, the never-below-defaults guard)
+// and how its per-key journals are consumed by the size dispatcher (exact
+// hits, foreign keys, default fallback, corrupt journals).
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <array>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "atf/kernels/reference.hpp"
+#include "atf/session/result_store.hpp"
+#include "blasmini/dispatch.hpp"
 #include "blasmini/gemm.hpp"
-#include "blasmini/tuning_db.hpp"
+#include "journal_seed.hpp"
 
 namespace {
 
 namespace xg = atf::kernels::xgemm;
+using blasmini_test::fresh_dir;
+using blasmini_test::journaled;
+using blasmini_test::wide_params;
 
-TEST(TuningDb, StoreAndLookup) {
-  blasmini::tuning_db db;
-  EXPECT_FALSE(db.lookup("dev", "kern", "8x8x8").has_value());
-  db.store("dev", "kern", "8x8x8", {{"WGD", "16"}, {"PADA", "true"}});
-  const auto hit = db.lookup("dev", "kern", "8x8x8");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->at("WGD"), "16");
-  EXPECT_EQ(hit->at("PADA"), "true");
-  // Different key dimensions miss.
-  EXPECT_FALSE(db.lookup("dev2", "kern", "8x8x8").has_value());
-  EXPECT_FALSE(db.lookup("dev", "kern2", "8x8x8").has_value());
-  EXPECT_FALSE(db.lookup("dev", "kern", "8x8x9").has_value());
-}
-
-TEST(TuningDb, StoreOverwrites) {
-  blasmini::tuning_db db;
-  db.store("d", "k", "p", {{"A", "1"}});
-  db.store("d", "k", "p", {{"A", "2"}});
-  EXPECT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.lookup("d", "k", "p")->at("A"), "2");
-}
-
-TEST(TuningDb, SaveLoadRoundTrip) {
-  const std::string path = ::testing::TempDir() + "blasmini_db_test.tsv";
-  {
-    blasmini::tuning_db db;
-    db.store("Tesla K20m", "XgemmDirect", "10x500x64",
-             {{"WGD", "10"}, {"KWID", "2"}, {"PADA", "false"}});
-    db.store("Intel Xeon E5-2640 v2", "XgemmDirect", "20x576x25",
-             {{"WGD", "8"}});
-    db.save(path);
-  }
-  const auto db = blasmini::tuning_db::load(path);
-  EXPECT_EQ(db.size(), 2u);
-  const auto hit = db.lookup("Tesla K20m", "XgemmDirect", "10x500x64");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->at("WGD"), "10");
-  EXPECT_EQ(hit->at("PADA"), "false");
-  std::remove(path.c_str());
-}
-
-TEST(TuningDb, RoundTripsValuesWithSpacesTabsAndDelimiters) {
-  // Regression: spaces and tabs inside free-form keys or values used to
-  // corrupt the tab/space-delimited format on save/load. All delimiter
-  // characters must now round-trip exactly (mirroring the CSV CRLF test).
-  const std::string path = ::testing::TempDir() + "blasmini_db_escape.tsv";
-  {
-    blasmini::tuning_db db;
-    db.store("NVIDIA Tesla K20m", "Xgemm Direct", "10 x 500",
-             {{"FLAGS", "-cl-fast-relaxed-math -DTS=16"},
-              {"NOTE", "tab\there"},
-              {"EQ", "a=b"},
-              {"SLASH", "back\\slash"},
-              {"LINE", "two\nlines"}});
-    db.save(path);
-  }
-  const auto db = blasmini::tuning_db::load(path);
-  EXPECT_EQ(db.size(), 1u);
-  const auto hit = db.lookup("NVIDIA Tesla K20m", "Xgemm Direct", "10 x 500");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->at("FLAGS"), "-cl-fast-relaxed-math -DTS=16");
-  EXPECT_EQ(hit->at("NOTE"), "tab\there");
-  EXPECT_EQ(hit->at("EQ"), "a=b");
-  EXPECT_EQ(hit->at("SLASH"), "back\\slash");
-  EXPECT_EQ(hit->at("LINE"), "two\nlines");
-  std::remove(path.c_str());
-}
-
-TEST(TuningDb, LoadMissingFileIsEmpty) {
-  const auto db = blasmini::tuning_db::load("/nonexistent/path/db.tsv");
-  EXPECT_EQ(db.size(), 0u);
-}
+ocls::device k20m() { return ocls::find_device("NVIDIA", "K20m"); }
 
 TEST(GemmExecutor, ComputesCorrectResultWithDefaults) {
   const std::size_t m = 13, n = 21, k = 9;
@@ -102,8 +38,8 @@ TEST(GemmExecutor, ComputesCorrectResultWithDefaults) {
   }
   atf::kernels::reference::gemm(m, n, k, a, b, expected);
 
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"));
-  const double ns = gemm.run(m, n, k, a, b, c);
+  blasmini::gemm_executor gemm(k20m());
+  const double ns = gemm.run_with(xg::params::defaults(), m, n, k, a, b, c);
   EXPECT_GT(ns, 0.0);
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_FLOAT_EQ(c[i], expected[i]) << "element " << i;
@@ -111,99 +47,158 @@ TEST(GemmExecutor, ComputesCorrectResultWithDefaults) {
 }
 
 TEST(GemmExecutor, UsesDefaultsWithoutDatabase) {
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"));
-  const auto p = gemm.params_for(32, 32, 32);
-  EXPECT_EQ(p.wgd, xg::params::defaults().wgd);
-  EXPECT_EQ(p.kwid, xg::params::defaults().kwid);
+  // No journal for any shape: dispatch serves the kernel defaults.
+  blasmini::dispatcher dispatch(k20m(), journaled(fresh_dir()));
+  const auto decision = dispatch.dispatch(32, 32, 32);
+  EXPECT_EQ(decision.from, blasmini::dispatcher::source::defaults);
+  EXPECT_EQ(decision.params.to_string(), xg::params::defaults().to_string());
 }
 
 TEST(GemmExecutor, TuneStoresIntoDatabaseAndRunConsumesIt) {
   const std::size_t m = 10, n = 500, k = 64;  // the paper's IS4
-  blasmini::tuning_db db;
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), &db);
+  const std::string dir = fresh_dir();
+  blasmini::gemm_executor gemm(k20m());
+  blasmini::tune_options opts;
+  opts.evaluations = 4'000;
+  opts.seed = 3;
+  opts.journal = blasmini_test::journal_path(dir, gemm.device().name(),
+                                             "10x500x64");
+  const auto tuned = gemm.tune(m, n, k, opts);
 
-  const auto tuned = gemm.tune(m, n, k, /*evaluations=*/4'000, /*seed=*/3);
-  EXPECT_EQ(db.size(), 1u);
-  const auto p = gemm.params_for(m, n, k);
-  EXPECT_EQ(p.wgd, tuned.wgd);
-  EXPECT_EQ(p.vwmd, tuned.vwmd);
-  EXPECT_EQ(p.pada, tuned.pada);
+  // The tune's journal is the store: a dispatcher over the directory
+  // serves the tuned configuration as an exact hit.
+  blasmini::dispatcher dispatch(k20m(), journaled(dir));
+  EXPECT_EQ(dispatch.known_sizes(), std::vector<std::string>{"10x500x64"});
+  const auto hit = dispatch.dispatch(m, n, k);
+  EXPECT_EQ(hit.from, blasmini::dispatcher::source::exact);
+  EXPECT_EQ(hit.params.to_string(), tuned.to_string());
 
-  // Other shapes still fall back to the defaults.
-  const auto other = gemm.params_for(m, n, k + 1);
-  EXPECT_EQ(other.wgd, xg::params::defaults().wgd);
+  // Other shapes are not exact hits.
+  EXPECT_NE(dispatch.dispatch(m, n, k + 1).from,
+            blasmini::dispatcher::source::exact);
 }
 
 TEST(GemmExecutor, TunedDispatchIsNotSlowerThanDefaults) {
+  // A one-evaluation random tune cannot beat the defaults here, so the
+  // guard triggers: the defaults are returned and journaled as one
+  // measured record, which becomes the journal's best.
   const std::size_t m = 10, n = 500, k = 64;
+  const std::string dir = fresh_dir();
+  blasmini::gemm_executor gemm(k20m());
+  blasmini::tune_options opts;
+  opts.technique = "random";
+  opts.evaluations = 1;
+  opts.seed = 3;
+  opts.journal = blasmini_test::journal_path(dir, gemm.device().name(),
+                                             "10x500x64");
+  const auto tuned = gemm.tune(m, n, k, opts);
+  ASSERT_EQ(tuned.to_string(), xg::params::defaults().to_string());
+
+  const auto store = atf::session::result_store::from_report(
+      atf::session::read_journal(opts.journal));
+  ASSERT_EQ(store.records().size(), 2u);  // the random pick + the defaults
+  const auto best = store.best();
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(xg::params_from(best->to_configuration()).to_string(),
+            xg::params::defaults().to_string());
+  EXPECT_EQ(best->technique, "defaults");
+  EXPECT_EQ(best->scalar,
+            gemm.modeled_time_ns(m, n, k, xg::params::defaults()));
+
+  // Re-tuning on the same journal replays it and journals nothing twice.
+  (void)gemm.tune(m, n, k, opts);
+  EXPECT_EQ(atf::session::read_journal(opts.journal).records.size(), 2u);
+
+  // Every journal reader serves the defaults for this shape.
+  blasmini::dispatcher dispatch(k20m(), journaled(dir));
   std::vector<float> a(m * k, 1.0f), b(k * n, 1.0f), c(m * n);
-
-  blasmini::tuning_db db;
-  blasmini::gemm_executor tuned(ocls::find_device("NVIDIA", "K20m"), &db);
-  (void)tuned.tune(m, n, k, 4'000, 3);
-  const double t_tuned = tuned.run(m, n, k, a, b, c);
-
-  blasmini::gemm_executor defaults(ocls::find_device("NVIDIA", "K20m"));
-  const double t_default = defaults.run(m, n, k, a, b, c);
+  const auto decision = dispatch.dispatch(m, n, k);
+  EXPECT_EQ(decision.from, blasmini::dispatcher::source::exact);
+  EXPECT_EQ(decision.params.to_string(), xg::params::defaults().to_string());
+  const double t_tuned = dispatch.run(m, n, k, a, b, c);
+  const double t_default =
+      gemm.run_with(xg::params::defaults(), m, n, k, a, b, c);
   EXPECT_LE(t_tuned, t_default);
 }
 
 TEST(GemmExecutor, UnknownDeviceEntryFallsBackToDefaults) {
-  // The database only knows some other device: the lookup must miss and
-  // dispatch must serve the kernel defaults, never throw (Section VI-B).
-  blasmini::tuning_db db;
-  db.store("AMD Radeon VII", "XgemmDirect", "32x32x32",
-           {{"WGD", "64"}, {"KWID", "8"}});
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), &db);
-  const auto p = gemm.params_for(32, 32, 32);
-  EXPECT_EQ(p.wgd, xg::params::defaults().wgd);
-  EXPECT_EQ(p.kwid, xg::params::defaults().kwid);
+  // The journals only know some other device: dispatch must not serve its
+  // configuration, it serves the kernel defaults and never throws (Section
+  // VI-B).
+  const std::string dir = fresh_dir();
+  xg::params foreign = wide_params();
+  foreign.wgd = 64;
+  blasmini_test::seed_journal(dir, "AMD Radeon VII", "32x32x32", foreign);
+  blasmini::dispatcher dispatch(k20m(), journaled(dir));
+  EXPECT_TRUE(dispatch.known_sizes().empty());
+  const auto decision = dispatch.dispatch(32, 32, 32);
+  EXPECT_EQ(decision.from, blasmini::dispatcher::source::defaults);
+  EXPECT_EQ(decision.params.to_string(), xg::params::defaults().to_string());
 }
 
 TEST(GemmExecutor, UnknownShapeFallsBackToDefaults) {
-  blasmini::tuning_db db;
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), &db);
-  db.store(gemm.device().name(), "XgemmDirect", "32x32x32", {{"WGD", "16"}});
-  EXPECT_EQ(gemm.params_for(32, 32, 33).wgd, xg::params::defaults().wgd);
-  EXPECT_EQ(gemm.params_for(64, 64, 64).wgd, xg::params::defaults().wgd);
+  // Only 32x32x32 is stored, with a configuration that cannot launch at any
+  // shape (KWID=3 does not divide WGD=8): other shapes miss the exact key,
+  // queue for refinement, and fall back to the defaults.
+  const std::string dir = fresh_dir();
+  xg::params broken = xg::params::defaults();
+  broken.kwid = 3;
+  blasmini_test::seed_journal(dir, k20m().name(), "32x32x32", broken);
+  blasmini::dispatcher dispatch(k20m(), journaled(dir));
+  for (const auto& [m, n, k] : {std::array<std::size_t, 3>{32, 32, 33},
+                                std::array<std::size_t, 3>{64, 64, 64}}) {
+    const auto decision = dispatch.dispatch(m, n, k);
+    EXPECT_EQ(decision.from, blasmini::dispatcher::source::defaults);
+    EXPECT_EQ(decision.params.wgd, xg::params::defaults().wgd);
+  }
+  EXPECT_EQ(dispatch.pending_refinements(), 2u);
 }
 
 TEST(GemmExecutor, CorruptDatabaseLinesFallBackToDefaultsWithoutThrowing) {
-  // A hand-edited or truncated database file: foreign lines are skipped on
-  // load, and a record with garbage values degrades to the defaults for the
-  // unparsable parameters instead of throwing at dispatch time.
-  const std::string path =
-      ::testing::TempDir() + "blasmini_corrupt_db.tsv";
+  // A journal with a garbage line and a torn tail (a writer killed
+  // mid-append) still loads: its intact record is served, and a journal
+  // with no intact record leaves the shape on the defaults.
+  const std::string dir = fresh_dir();
+  const std::string device = k20m().name();
+  blasmini_test::seed_journal(dir, device, "12x12x12", wide_params());
   {
-    std::ofstream out(path);
-    out << "# comment survives\n";
+    std::ofstream out(blasmini_test::journal_path(dir, device, "12x12x12"),
+                      std::ios::app);
     out << "not a record at all\n";
-    out << "too\tfew\tfields\n";
-    out << "NVIDIA Tesla K20m\tXgemmDirect\t12x12x12\t"
-           "WGD=banana KWID= MDIMCD\n";
+    out << "{\"type\":\"record\",\"config_hash\":\"00";  // torn tail
   }
-  const auto db = blasmini::tuning_db::load(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(db.size(), 1u);
+  {
+    std::ofstream out(blasmini_test::journal_path(dir, device, "24x24x24"));
+    out << "WGD=banana KWID= MDIMCD\n";
+  }
 
-  blasmini::tuning_db mutable_db = db;
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"),
-                               &mutable_db);
-  xg::params p;
-  EXPECT_NO_THROW(p = gemm.params_for(12, 12, 12));
-  // Unparsable values fall back per-parameter to the defaults.
-  EXPECT_EQ(p.wgd, xg::params::defaults().wgd);
-  EXPECT_EQ(p.kwid, xg::params::defaults().kwid);
+  std::optional<blasmini::dispatcher> dispatch;
+  ASSERT_NO_THROW(dispatch.emplace(k20m(), journaled(dir)));
+  EXPECT_EQ(dispatch->known_sizes(), std::vector<std::string>{"12x12x12"});
+  blasmini::dispatcher::decision decision;
+  EXPECT_NO_THROW(decision = dispatch->dispatch(12, 12, 12));
+  EXPECT_EQ(decision.from, blasmini::dispatcher::source::exact);
+  EXPECT_EQ(decision.params.to_string(), wide_params().to_string());
 
   std::vector<float> a(12 * 12, 1.0f), b(12 * 12, 1.0f), c(12 * 12);
-  EXPECT_NO_THROW((void)gemm.run(12, 12, 12, a, b, c));
+  EXPECT_NO_THROW((void)dispatch->run(12, 12, 12, a, b, c));
+
+  const std::string garbage_only = fresh_dir("_garbage");
+  {
+    std::ofstream out(
+        blasmini_test::journal_path(garbage_only, device, "12x12x12"));
+    out << "WGD=banana KWID= MDIMCD\n";
+  }
+  blasmini::dispatcher fallback(k20m(), journaled(garbage_only));
+  EXPECT_EQ(fallback.dispatch(12, 12, 12).from,
+            blasmini::dispatcher::source::defaults);
 }
 
 TEST(GemmExecutor, NullDatabaseNeverThrowsOnRunOrParamsFor) {
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), nullptr);
-  EXPECT_NO_THROW((void)gemm.params_for(7, 7, 7));
+  blasmini::dispatcher dispatch(k20m(), journaled(fresh_dir()));
+  EXPECT_NO_THROW((void)dispatch.dispatch(7, 7, 7));
   std::vector<float> a(7 * 7, 1.0f), b(7 * 7, 1.0f), c(7 * 7);
-  EXPECT_NO_THROW((void)gemm.run(7, 7, 7, a, b, c));
+  EXPECT_NO_THROW((void)dispatch.run(7, 7, 7, a, b, c));
 }
 
 TEST(GemmExecutor, TuneOptionsDefaultsReproduceLegacyOverload) {
@@ -211,11 +206,8 @@ TEST(GemmExecutor, TuneOptionsDefaultsReproduceLegacyOverload) {
   // new options overload with default technique must find the identical
   // configuration — the options struct changed the API, not the behaviour.
   const std::size_t m = 16, n = 48, k = 24;
-  blasmini::tuning_db db_legacy, db_options;
-  blasmini::gemm_executor legacy(ocls::find_device("NVIDIA", "K20m"),
-                                 &db_legacy);
-  blasmini::gemm_executor with_options(ocls::find_device("NVIDIA", "K20m"),
-                                       &db_options);
+  blasmini::gemm_executor legacy(k20m());
+  blasmini::gemm_executor with_options(k20m());
 
   const auto p_legacy = legacy.tune(m, n, k, /*evaluations=*/800, /*seed=*/7);
   blasmini::tune_options opts;
@@ -228,16 +220,11 @@ TEST(GemmExecutor, TuneOptionsDefaultsReproduceLegacyOverload) {
   const auto p_options = with_options.tune(m, n, k, opts);
 
   EXPECT_EQ(p_legacy.to_string(), p_options.to_string());
-  EXPECT_EQ(db_legacy.lookup(legacy.device().name(), "XgemmDirect",
-                             "16x48x24"),
-            db_options.lookup(with_options.device().name(), "XgemmDirect",
-                              "16x48x24"));
 }
 
 TEST(GemmExecutor, TuneOptionsSelectsTechniqueAndCallsOnMeasure) {
   const std::size_t m = 12, n = 12, k = 12;
-  blasmini::tuning_db db;
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"), &db);
+  blasmini::gemm_executor gemm(k20m());
 
   blasmini::tune_options opts;
   opts.technique = "random";
@@ -264,7 +251,7 @@ TEST(GemmExecutor, TuneOptionsSelectsTechniqueAndCallsOnMeasure) {
 TEST(GemmExecutor, TuneRejectsZeroBudgetAndUnknownTechnique) {
   // The registry driver reads a zero budget as "sweep the whole space"; a
   // GEMM tune refuses it instead of silently running an exhaustive sweep.
-  blasmini::gemm_executor gemm(ocls::find_device("NVIDIA", "K20m"));
+  blasmini::gemm_executor gemm(k20m());
   blasmini::tune_options opts;
   opts.evaluations = 0;
   EXPECT_THROW((void)gemm.tune(8, 8, 8, opts), std::invalid_argument);
@@ -284,14 +271,11 @@ TEST(GemmExecutor, ResultsIdenticalAcrossConfigurations) {
     b[i] = static_cast<float>((i % 5)) - 2.0f;
   }
 
-  blasmini::tuning_db db;
-  blasmini::gemm_executor tuned(ocls::find_device("Intel", "Xeon"), &db);
-  (void)tuned.tune(m, n, k, 2'000, 9);
+  blasmini::gemm_executor gemm(ocls::find_device("Intel", "Xeon"));
+  const auto tuned = gemm.tune(m, n, k, 2'000, 9);
   std::vector<float> c_tuned(m * n), c_default(m * n);
-  (void)tuned.run(m, n, k, a, b, c_tuned);
-
-  blasmini::gemm_executor defaults(ocls::find_device("Intel", "Xeon"));
-  (void)defaults.run(m, n, k, a, b, c_default);
+  (void)gemm.run_with(tuned, m, n, k, a, b, c_tuned);
+  (void)gemm.run_with(xg::params::defaults(), m, n, k, a, b, c_default);
   for (std::size_t i = 0; i < c_tuned.size(); ++i) {
     ASSERT_FLOAT_EQ(c_tuned[i], c_default[i]);
   }

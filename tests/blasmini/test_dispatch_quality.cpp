@@ -7,8 +7,9 @@
 //   (c) a grid tune SIGKILLed mid-run and resumed on the same journal
 //       directory dispatches bit-identically to a never-interrupted run —
 // plus the mechanics underneath them: size-grid parsing, the log-size
-// nearest-neighbour metric, validity filtering, the refinement queue, and
-// re-ranker training. Everything is fixed-seed and deterministic.
+// nearest-neighbour metric, validity filtering, routing misses onto the
+// tuning service's refinement queue, and re-ranker training. Everything is
+// fixed-seed and deterministic.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "blasmini/dispatch.hpp"
+#include "journal_seed.hpp"
 
 #ifndef DISPATCH_DRIVER_BINARY
 #error "DISPATCH_DRIVER_BINARY must be defined by the build system"
@@ -27,6 +29,9 @@
 namespace {
 
 namespace xg = atf::kernels::xgemm;
+using blasmini_test::fresh_dir;
+using blasmini_test::journaled;
+using blasmini_test::wide_params;
 
 ocls::device test_device() { return ocls::find_device("NVIDIA", "K20m"); }
 
@@ -34,27 +39,10 @@ xg::device_limits test_limits() {
   return xg::device_limits::of(test_device().profile());
 }
 
-/// A valid non-default configuration (asserted valid where used).
-xg::params wide_params() {
-  xg::params p;
-  p.wgd = 16;
-  p.kwid = 2;
-  p.vwmd = 2;
-  p.vwnd = 2;
-  return p;
-}
-
-/// Stores a configuration in the database under this device/signature, the
-/// same way gemm_executor::tune does.
-void store_params(blasmini::tuning_db& db, const std::string& signature,
+/// Seeds this device's journal of `signature` with one measured record.
+void store_params(const std::string& dir, const std::string& signature,
                   const xg::params& p) {
-  ocls::define_map defines;
-  p.to_defines(defines);
-  blasmini::record config;
-  for (const auto& [name, value] : defines.all()) {
-    config[name] = value;
-  }
-  db.store(test_device().name(), "XgemmDirect", signature, std::move(config));
+  blasmini_test::seed_journal(dir, test_device().name(), signature, p);
 }
 
 struct command_result {
@@ -77,16 +65,7 @@ command_result run_command(const std::string& command) {
 
 class DispatchTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    // Per-test directory: ctest runs every test case as its own process,
-    // so a fixture-shared path races under parallel ctest.
-    dir_ = ::testing::TempDir() + "dispatch_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
-    ASSERT_EQ(std::system(("rm -rf '" + dir_ + "' && mkdir -p '" + dir_ +
-                           "'")
-                              .c_str()),
-              0);
-  }
+  void SetUp() override { dir_ = fresh_dir(); }
 
   std::string dir_;
 };
@@ -135,47 +114,48 @@ TEST(SizeGrid, RejectsMalformedSpecs) {
 // --------------------------------------------------------- dispatch basics
 
 TEST(Dispatch, NullDatabaseServesDefaults) {
-  blasmini::dispatcher dispatch(test_device(), nullptr);
+  blasmini::dispatcher dispatch(test_device(), journaled(fresh_dir()));
   const auto decision = dispatch.dispatch(64, 64, 64);
   EXPECT_EQ(decision.from, blasmini::dispatcher::source::defaults);
   EXPECT_EQ(decision.params.to_string(), xg::params::defaults().to_string());
   EXPECT_TRUE(decision.neighbor.empty());
   EXPECT_TRUE(dispatch.known_sizes().empty());
+  // The journal directory is required: there is no unjournaled mode.
+  EXPECT_THROW(blasmini::dispatcher(test_device(), {}),
+               atf::service::service_error);
 }
 
 TEST(Dispatch, EmptyDatabaseServesDefaultsAndEnqueues) {
-  blasmini::tuning_db db;
-  blasmini::dispatcher dispatch(test_device(), &db);
+  blasmini::dispatcher dispatch(test_device(), journaled(fresh_dir()));
   const auto decision = dispatch.dispatch(48, 32, 16);
   EXPECT_EQ(decision.from, blasmini::dispatcher::source::defaults);
-  ASSERT_EQ(dispatch.pending_refinements().size(), 1u);
-  EXPECT_EQ(dispatch.pending_refinements()[0].m, 48u);
+  EXPECT_EQ(dispatch.pending_refinements(), 1u);
 }
 
 TEST(Dispatch, ExactHitServesStoredConfiguration) {
   const xg::params stored = wide_params();
   ASSERT_TRUE(xg::valid({24, 24, 24}, stored, xg::size_mode::general,
                         test_limits()));
-  blasmini::tuning_db db;
-  store_params(db, "24x24x24", stored);
+  const std::string dir = fresh_dir();
+  store_params(dir, "24x24x24", stored);
 
-  blasmini::dispatcher dispatch(test_device(), &db);
+  blasmini::dispatcher dispatch(test_device(), journaled(dir));
   const auto decision = dispatch.dispatch(24, 24, 24);
   EXPECT_EQ(decision.from, blasmini::dispatcher::source::exact);
   EXPECT_EQ(decision.params.to_string(), stored.to_string());
   EXPECT_EQ(decision.distance, 0.0);
   // Exact hits are warm — nothing to refine.
-  EXPECT_TRUE(dispatch.pending_refinements().empty());
+  EXPECT_EQ(dispatch.pending_refinements(), 0u);
 }
 
 TEST(Dispatch, NearestNeighborUsesLogSizeMetric) {
-  blasmini::tuning_db db;
-  store_params(db, "8x8x8", xg::params::defaults());
-  store_params(db, "128x128x128", wide_params());
+  const std::string dir = fresh_dir();
+  store_params(dir, "8x8x8", xg::params::defaults());
+  store_params(dir, "128x128x128", wide_params());
 
-  blasmini::dispatch_options opts;
+  blasmini::dispatch_options opts = journaled(dir);
   opts.surrogate_rerank = false;  // isolate the metric
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   // 36 is 28 away from 8 but 92 away from 128 — absolute distance would
   // pick 8x8x8. In log space ln(36/8) = 1.50 > ln(128/36) = 1.27, so the
@@ -194,22 +174,23 @@ TEST(Dispatch, InvalidStoredConfigurationIsFilteredOut) {
   ASSERT_FALSE(xg::valid({30, 30, 30}, broken, xg::size_mode::general,
                          test_limits()));
 
-  blasmini::tuning_db db;
-  store_params(db, "32x32x32", broken);           // nearest but unusable
-  store_params(db, "64x64x64", wide_params());    // farther but valid
+  const std::string dir = fresh_dir();
+  store_params(dir, "32x32x32", broken);           // nearest but unusable
+  store_params(dir, "64x64x64", wide_params());    // farther but valid
 
-  blasmini::dispatch_options opts;
+  blasmini::dispatch_options opts = journaled(dir);
   opts.surrogate_rerank = false;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   const auto decision = dispatch.dispatch(30, 30, 30);
   EXPECT_EQ(decision.from, blasmini::dispatcher::source::nearest);
   EXPECT_EQ(decision.neighbor, "64x64x64");
 
   // With every stored configuration invalid, defaults are the last resort.
-  blasmini::tuning_db only_broken;
+  const std::string only_broken = fresh_dir("_only_broken");
   store_params(only_broken, "32x32x32", broken);
-  blasmini::dispatcher fallback(test_device(), &only_broken, opts);
+  opts.journal_dir = only_broken;
+  blasmini::dispatcher fallback(test_device(), opts);
   const auto last_resort = fallback.dispatch(30, 30, 30);
   EXPECT_EQ(last_resort.from, blasmini::dispatcher::source::defaults);
   EXPECT_EQ(last_resort.params.to_string(),
@@ -217,27 +198,33 @@ TEST(Dispatch, InvalidStoredConfigurationIsFilteredOut) {
 }
 
 TEST(Dispatch, ForeignProblemKeysAreIgnored) {
-  blasmini::tuning_db db;
-  store_params(db, "16x16x16", xg::params::defaults());
-  store_params(db, "not-a-shape", wide_params());
-  store_params(db, "8x8", wide_params());
-  blasmini::dispatcher dispatch(test_device(), &db);
+  const std::string dir = fresh_dir();
+  store_params(dir, "16x16x16", xg::params::defaults());
+  store_params(dir, "not-a-shape", wide_params());
+  store_params(dir, "8x8", wide_params());
+  blasmini::dispatcher dispatch(test_device(), journaled(dir));
   EXPECT_EQ(dispatch.known_sizes(),
             std::vector<std::string>{"16x16x16"});
 }
 
 TEST(Dispatch, RefinementQueueDedupesAndBounds) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
+  // Misses are routed onto the tuning service's queue: a miss raises its
+  // pending count, a repeat miss does not, and a miss past max_pending is
+  // counted as dropped.
+  blasmini::dispatch_options opts = journaled(fresh_dir());
   opts.max_pending = 2;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   dispatch.dispatch(10, 10, 10);
-  dispatch.dispatch(10, 10, 10);  // duplicate — not enqueued twice
+  EXPECT_EQ(dispatch.pending_refinements(), 1u);
+  dispatch.dispatch(10, 10, 10);  // repeat miss — not enqueued twice
+  EXPECT_EQ(dispatch.pending_refinements(), 1u);
   EXPECT_EQ(dispatch.dropped_refinements(), 0u);
   dispatch.dispatch(20, 20, 20);
+  EXPECT_EQ(dispatch.pending_refinements(), 2u);
   EXPECT_EQ(dispatch.dropped_refinements(), 0u);
   dispatch.dispatch(30, 30, 30);  // beyond max_pending — dropped
+  EXPECT_EQ(dispatch.pending_refinements(), 2u);
   EXPECT_EQ(dispatch.dropped_refinements(), 1u);
   // Re-missing an already-queued shape while the queue is full is still a
   // repeat miss, not a second drop.
@@ -247,26 +234,19 @@ TEST(Dispatch, RefinementQueueDedupesAndBounds) {
   // A genuinely new shape at the bound increments exactly once per miss.
   dispatch.dispatch(40, 40, 40);
   EXPECT_EQ(dispatch.dropped_refinements(), 2u);
-
-  const auto pending = dispatch.pending_refinements();
-  ASSERT_EQ(pending.size(), 2u);
-  EXPECT_EQ(pending[0].m, 10u);
-  EXPECT_EQ(pending[1].m, 20u);
 }
 
 TEST_F(DispatchTest, RefineGraduatesColdShapeToExactHit) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
+  blasmini::dispatch_options opts = journaled(dir_);
   opts.tuning.evaluations = 40;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   EXPECT_EQ(dispatch.dispatch(16, 16, 8).from,
             blasmini::dispatcher::source::defaults);
-  ASSERT_EQ(dispatch.pending_refinements().size(), 1u);
+  ASSERT_EQ(dispatch.pending_refinements(), 1u);
 
   EXPECT_EQ(dispatch.refine(4), 1u);
-  EXPECT_TRUE(dispatch.pending_refinements().empty());
+  EXPECT_EQ(dispatch.pending_refinements(), 0u);
 
   const auto warm = dispatch.dispatch(16, 16, 8);
   EXPECT_EQ(warm.from, blasmini::dispatcher::source::exact);
@@ -275,30 +255,27 @@ TEST_F(DispatchTest, RefineGraduatesColdShapeToExactHit) {
 }
 
 TEST_F(DispatchTest, JournalPathsAreSanitizedAndPerSize) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatch_options opts = journaled(dir_);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
+  // The service's per-key layout: the same file atf_served would read for
+  // key xgemm/<device name>/16x16x16.
   const auto path = dispatch.journal_path("16x16x16");
   EXPECT_EQ(path.find(dir_), 0u);
   EXPECT_EQ(path.find(' '), std::string::npos);
   EXPECT_NE(path.find("16x16x16.jsonl"), std::string::npos);
   EXPECT_NE(path, dispatch.journal_path("16x16x32"));
-
-  blasmini::dispatcher unjournaled(test_device(), &db);
-  EXPECT_TRUE(unjournaled.journal_path("16x16x16").empty());
+  EXPECT_EQ(path, blasmini_test::journal_path(dir_, test_device().name(),
+                                              "16x16x16"));
 }
 
 // ------------------------------------------------------- re-ranker training
 
 TEST_F(DispatchTest, RerankerTrainsFromJournalsOnceGateIsMet) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
+  blasmini::dispatch_options opts = journaled(dir_);
   opts.tuning.evaluations = 60;
   opts.min_rerank_samples = 32;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   dispatch.tune_grid(blasmini::size_grid::parse("12x12x12;40x40x12"));
   EXPECT_GE(dispatch.rerank_samples(), 32u);
@@ -307,37 +284,36 @@ TEST_F(DispatchTest, RerankerTrainsFromJournalsOnceGateIsMet) {
 }
 
 TEST_F(DispatchTest, RerankerStaysOffBelowSampleGateOrWithoutJournals) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
+  blasmini::dispatch_options opts = journaled(dir_);
   opts.tuning.evaluations = 60;
   opts.min_rerank_samples = 1'000'000;  // unreachable gate
-  blasmini::dispatcher gated(test_device(), &db, opts);
+  blasmini::dispatcher gated(test_device(), opts);
   gated.tune_grid(blasmini::size_grid::parse("12x12x12;40x40x12"));
   EXPECT_EQ(gated.rerank_samples(), 0u);
   EXPECT_EQ(gated.dispatch(20, 20, 12).from,
             blasmini::dispatcher::source::nearest);
 
-  // No journal directory: nothing to train on, plain nearest-neighbour.
-  blasmini::dispatcher unjournaled(test_device(), &db);
-  EXPECT_EQ(unjournaled.rerank_samples(), 0u);
-  EXPECT_EQ(unjournaled.dispatch(20, 20, 12).from,
+  // Re-ranking switched off: the same journals serve plain
+  // nearest-neighbour.
+  opts.min_rerank_samples = 1;
+  opts.surrogate_rerank = false;
+  blasmini::dispatcher plain(test_device(), opts);
+  EXPECT_EQ(plain.rerank_samples(), 0u);
+  EXPECT_EQ(plain.dispatch(20, 20, 12).from,
             blasmini::dispatcher::source::nearest);
 }
 
 TEST_F(DispatchTest, FreshInstanceOnSameStateDispatchesIdentically) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
+  blasmini::dispatch_options opts = journaled(dir_);
   opts.tuning.evaluations = 80;
   opts.min_rerank_samples = 32;
 
-  blasmini::dispatcher first(test_device(), &db, opts);
+  blasmini::dispatcher first(test_device(), opts);
   first.tune_grid(blasmini::size_grid::parse("12,40x12,40x12"));
 
-  // A second dispatcher over the same database + journals (a fresh process
-  // in real life) must reconstruct the identical dispatch function.
-  blasmini::dispatcher second(test_device(), &db, opts);
+  // A second dispatcher over the same journals (a fresh process in real
+  // life) must reconstruct the identical dispatch function.
+  blasmini::dispatcher second(test_device(), opts);
   EXPECT_EQ(first.known_sizes(), second.known_sizes());
   EXPECT_EQ(first.rerank_samples(), second.rerank_samples());
   for (const auto& [m, n, k] :
@@ -359,11 +335,9 @@ TEST_F(DispatchTest, FreshInstanceOnSameStateDispatchesIdentically) {
 // shape. Criterion (b): dispatched modeled time beats the kernel defaults
 // on >= 90% of held-out sizes. One fixed-seed grid tune (~8 s) backs both.
 TEST_F(DispatchTest, HeldOutSweepIsValidAndBeatsDefaults) {
-  blasmini::tuning_db db;
-  blasmini::dispatch_options opts;
-  opts.journal_dir = dir_;
+  blasmini::dispatch_options opts = journaled(dir_);
   opts.tuning.evaluations = 400;
-  blasmini::dispatcher dispatch(test_device(), &db, opts);
+  blasmini::dispatcher dispatch(test_device(), opts);
 
   const auto grid = blasmini::size_grid::parse("96,384x96,384x96,256");
   EXPECT_EQ(dispatch.tune_grid(grid), grid.sizes.size());

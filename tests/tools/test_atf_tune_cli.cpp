@@ -4,11 +4,17 @@
 // ATF_TUNE_BINARY.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "atf/service/service.hpp"
 
 #ifndef ATF_TUNE_BINARY
 #error "ATF_TUNE_BINARY must be defined by the build system"
@@ -299,13 +305,25 @@ TEST_F(AtfTuneCliTest, CsvLogIsWritten) {
   EXPECT_EQ(rows, 5);
 }
 
+/// The journal files (not the directory entries "." and "..") under `dir`.
+std::vector<std::string> journal_files(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".jsonl") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST_F(AtfTuneCliTest, SizeGridModeTunesAndPersistsDatabase) {
   // GEMM grid mode needs no --source/--compile/--run: it tunes the built-in
-  // kernel over the size grid and writes the tuning database.
-  const std::string db = dir_ + "/tuning.tsv";
+  // kernel over the size grid into one journal per size.
+  const std::string journals = dir_ + "/journals";
   const auto result = run_command(std::string(ATF_TUNE_BINARY) +
-                                  " --size-grid '12,24x12x12' --db '" + db +
-                                  "' --evaluations 60 --seed 5");
+                                  " --size-grid '12,24x12x12' --journal-dir '" +
+                                  journals + "' --evaluations 60 --seed 5");
   EXPECT_EQ(result.exit_code, 0) << result.stdout_text;
   // One stdout line per grid point: SIG=-DKWID=... define string.
   EXPECT_NE(result.stdout_text.find("12x12x12="), std::string::npos)
@@ -313,56 +331,87 @@ TEST_F(AtfTuneCliTest, SizeGridModeTunesAndPersistsDatabase) {
   EXPECT_NE(result.stdout_text.find("24x12x12="), std::string::npos);
   EXPECT_NE(result.stdout_text.find("WGD="), std::string::npos);
 
-  std::ifstream in(db);
-  ASSERT_TRUE(in.good());
-  int records = 0;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') {
-      ++records;
-    }
-  }
-  EXPECT_EQ(records, 2);
+  // Named by the service's per-key file stem, as atf_served reads them.
+  EXPECT_EQ(journal_files(journals),
+            (std::vector<std::string>{"xgemm+Tesla%20K20m+12x12x12.jsonl",
+                                      "xgemm+Tesla%20K20m+24x12x12.jsonl"}));
 }
 
 TEST_F(AtfTuneCliTest, SizeGridModeAccumulatesIntoExistingDatabase) {
-  const std::string db = dir_ + "/tuning.tsv";
-  const std::string base = std::string(ATF_TUNE_BINARY) + " --db '" + db +
-                           "' --evaluations 60";
+  const std::string journals = dir_ + "/journals";
+  const std::string base = std::string(ATF_TUNE_BINARY) + " --journal-dir '" +
+                           journals + "' --evaluations 60";
   EXPECT_EQ(run_command(base + " --size-grid '12x12x12'").exit_code, 0);
   const auto second = run_command(base + " --size-grid '24x24x12'");
   EXPECT_EQ(second.exit_code, 0);
-
-  std::ifstream in(db);
-  int records = 0;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty() && line[0] != '#') {
-      ++records;
-    }
-  }
-  EXPECT_EQ(records, 2);  // the first run's entry survived the second
+  // The first run's journal survived the second.
+  EXPECT_EQ(journal_files(journals).size(), 2u);
 }
 
 TEST_F(AtfTuneCliTest, SizeGridModeRejectsBadInput) {
-  const std::string db = dir_ + "/tuning.tsv";
-  // Missing --db, malformed grid, unknown device, unknown technique.
+  const std::string journals = dir_ + "/journals";
+  // Missing --journal-dir, malformed grid, unknown device, unknown
+  // technique.
   EXPECT_EQ(run_command(std::string(ATF_TUNE_BINARY) +
                         " --size-grid '8x8x8'")
                 .exit_code,
             1);
   EXPECT_EQ(run_command(std::string(ATF_TUNE_BINARY) +
-                        " --size-grid '8x8' --db '" + db + "'")
+                        " --size-grid '8x8' --journal-dir '" + journals + "'")
                 .exit_code,
             1);
   EXPECT_EQ(run_command(std::string(ATF_TUNE_BINARY) +
-                        " --size-grid '8x8x8' --db '" + db +
+                        " --size-grid '8x8x8' --journal-dir '" + journals +
                         "' --device 'NoSuchAccelerator'")
                 .exit_code,
             1);
   EXPECT_EQ(run_command(std::string(ATF_TUNE_BINARY) +
-                        " --size-grid '8x8x8' --db '" + db +
+                        " --size-grid '8x8x8' --journal-dir '" + journals +
                         "' --technique banana")
                 .exit_code,
             1);
+}
+
+TEST_F(AtfTuneCliTest, SizeGridJournalsAreServedAsHits) {
+  // Cross-tool: what --size-grid prints is exactly what a tuning service
+  // over the same journal directory (atf_served's engine) serves.
+  const std::string journals = dir_ + "/journals";
+  const auto result = run_command(std::string(ATF_TUNE_BINARY) +
+                                  " --size-grid '16,32x16x16' --journal-dir '" +
+                                  journals + "' --evaluations 50");
+  ASSERT_EQ(result.exit_code, 0);
+
+  atf::service::tuning_service service(
+      {.journal_dir = journals},
+      [](const atf::service::service_key&, const std::string&) {
+        return false;
+      });
+  EXPECT_EQ(service.load(), 2u);
+
+  std::istringstream lines(result.stdout_text);
+  std::size_t checked = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const auto eq = line.find('=');
+    ASSERT_NE(eq, std::string::npos) << line;
+    atf::service::request get;
+    get.operation = atf::service::request::op::get;
+    get.key = {"xgemm", "Tesla K20m", line.substr(0, eq)};
+    const auto reply = atf::service::parse_get_reply(
+        service.handle_line(atf::service::serialize_request(get)));
+    ASSERT_TRUE(reply.ok) << reply.error;
+    EXPECT_TRUE(reply.hit) << line;
+    // The printed params are the define string "-DNAME=VALUE ..." in name
+    // order; rebuild it from the served configuration.
+    auto config = reply.config;
+    std::sort(config.begin(), config.end());
+    std::string served;
+    for (const auto& [name, value] : config) {
+      served += (served.empty() ? "-D" : " -D") + name + "=" + value;
+    }
+    EXPECT_EQ(served, line.substr(eq + 1)) << line;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2u);
 }
 
 }  // namespace

@@ -12,10 +12,11 @@
 //
 // GEMM grid mode (multi-size dispatch, DESIGN.md §12): instead of tuning a
 // program, grid-tune the built-in XgemmDirect kernel over a problem-size
-// grid and persist the winners in a tuning database:
+// grid, one crash-safe journal per size in the layout atf_served serves
+// (key xgemm/<device name>/MxNxK):
 //
-//   atf_tune --size-grid "32,128x32,128x32,64" --db tuning.tsv \
-//            [--device NAME] [--journal-dir DIR] \
+//   atf_tune --size-grid "32,128x32,128x32,64" --journal-dir DIR \
+//            [--device NAME] \
 //            [--technique opentuner|annealing|surrogate|random] \
 //            [--evaluations N] [--seed N]
 //
@@ -41,6 +42,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -114,7 +116,6 @@ struct cli_options {
   std::uint64_t seed = 0x5eed;
   // GEMM grid mode
   std::string size_grid;
-  std::string db_path;
   std::string device = "K20m";
   std::string journal_dir;
   // Service client mode
@@ -150,13 +151,13 @@ void usage(const char* argv0) {
       "                    in MiB (default 64).\n"
       "\n"
       "GEMM grid mode:\n"
-      "       %s --size-grid \"32,128x32,128x32,64\" --db tuning.tsv\n"
-      "          [--device NAME] [--journal-dir DIR] [--technique T]\n"
-      "          [--evaluations N] [--seed N]\n"
+      "       %s --size-grid \"32,128x32,128x32,64\" --journal-dir DIR\n"
+      "          [--device NAME] [--technique T] [--evaluations N] [--seed N]\n"
       "  Grid-tunes the registry's xgemm family (XgemmDirect) over the size\n"
-      "  grid on a simulated device and stores the winners in the tuning\n"
-      "  database (loaded first if it exists, so runs accumulate). --journal-dir\n"
-      "  makes the grid tune crash-safe and warm-startable.\n"
+      "  grid on a simulated device, one crash-safe journal per size in DIR\n"
+      "  (runs accumulate and resume), and prints each size's tuned\n"
+      "  parameters. atf_served --journal-dir DIR serves the same journals\n"
+      "  as hits for kernel xgemm and the device's full name.\n"
       "\n"
       "Kernel registry mode (tunes a registered kernel family):\n"
       "       %s --list-kernels\n"
@@ -230,8 +231,6 @@ std::optional<cli_options> parse_cli(int argc, char** argv) {
       }
     } else if (flag == "--size-grid" && (value = need_value(i))) {
       opts.size_grid = value;
-    } else if (flag == "--db" && (value = need_value(i))) {
-      opts.db_path = value;
     } else if (flag == "--device" && (value = need_value(i))) {
       opts.device = value;
     } else if (flag == "--journal-dir" && (value = need_value(i))) {
@@ -263,8 +262,8 @@ std::optional<cli_options> parse_cli(int argc, char** argv) {
     return opts;  // other modes' flags are not required
   }
   if (!opts.size_grid.empty()) {
-    if (opts.db_path.empty()) {
-      std::fprintf(stderr, "atf_tune: --size-grid requires --db\n");
+    if (opts.journal_dir.empty()) {
+      std::fprintf(stderr, "atf_tune: --size-grid requires --journal-dir\n");
       return std::nullopt;
     }
     return opts;  // program-mode flags are not required
@@ -435,8 +434,8 @@ int run_registry_mode(const cli_options& opts) {
   }
 }
 
-/// GEMM grid mode: grid-tune XgemmDirect over the size grid and persist the
-/// winners; accumulates into an existing database.
+/// GEMM grid mode: grid-tune XgemmDirect over the size grid into per-size
+/// journals; accumulates into an existing journal directory.
 int run_size_grid_mode(const cli_options& opts) {
   // The CLI default 'exhaustive' means "no choice made": grid mode's
   // default is the ensemble search.
@@ -448,18 +447,16 @@ int run_size_grid_mode(const cli_options& opts) {
 
   try {
     const auto grid = blasmini::size_grid::parse(opts.size_grid);
-    auto db = blasmini::tuning_db::load(opts.db_path);
+    std::filesystem::create_directories(opts.journal_dir);
 
     blasmini::dispatch_options dopts;
     dopts.journal_dir = opts.journal_dir;
     dopts.tuning.technique = technique;
     dopts.tuning.evaluations = opts.evaluations.value_or(2'000);
     dopts.tuning.seed = opts.seed;
-    blasmini::dispatcher dispatch(ocls::find_device("", opts.device), &db,
-                                  dopts);
+    blasmini::dispatcher dispatch(ocls::find_device("", opts.device), dopts);
 
     dispatch.tune_grid(grid);
-    db.save(opts.db_path);
 
     const auto& dev = dispatch.executor().device();
     for (const auto& shape : grid.sizes) {
@@ -471,16 +468,10 @@ int run_size_grid_mode(const cli_options& opts) {
                   decision.params.to_string().c_str());
     }
     std::fprintf(stderr,
-                 "atf_tune: tuned %zu grid points on %s, database '%s' now "
-                 "holds %zu entries\n",
-                 grid.sizes.size(), dev.name().c_str(), opts.db_path.c_str(),
-                 db.size());
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "atf_tune: %s\n", error.what());
-    return 1;
-  } catch (const ocls::device_not_found& error) {
-    std::fprintf(stderr, "atf_tune: %s\n", error.what());
-    return 1;
+                 "atf_tune: tuned %zu grid points on %s, journal directory "
+                 "'%s' now holds %zu size(s)\n",
+                 grid.sizes.size(), dev.name().c_str(),
+                 opts.journal_dir.c_str(), dispatch.known_sizes().size());
   } catch (const std::exception& error) {
     std::fprintf(stderr, "atf_tune: %s\n", error.what());
     return 1;
