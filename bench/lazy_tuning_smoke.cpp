@@ -1,17 +1,17 @@
 // Memory-capped smoke run of the lazy space-storage backend.
 //
 // Builds a divides-chain space with >10^8 valid configurations — about
-// 530 MiB of nodes if materialized as dense CSR — and runs a fixed-seed
+// 530 MiB of nodes if materialized as plain CSR — and runs a fixed-seed
 // random-search tuning pass with the lazy backend, which keeps only the
 // chunk table and regenerates chunk subtrees on demand into a bounded LRU
 // cache. Asserts that
 //
 //   * the run completes and measures every budgeted evaluation,
-//   * peak RSS stays under a cap (384 MiB) that the dense
-//     representation provably exceeds (projected dense bytes are computed
+//   * peak RSS stays under a cap (384 MiB) that the CSR
+//     representation provably exceeds (projected CSR bytes are computed
 //     from the logical node count and checked against the cap),
 //
-// so CI can execute it under an address-space ulimit the dense backend
+// so CI can execute it under an address-space ulimit a CSR tree
 // could never satisfy. `--small` shrinks the space for sanitizer runs
 // (TSan/ASan multiply memory and time); the RSS assertion is skipped there
 // because sanitizer shadow memory dominates the measurement.
@@ -88,10 +88,10 @@ int main(int argc, char** argv) {
   const auto& space = tuner.space();
   const std::uint64_t configs = space.size();
   const std::uint64_t nodes = space.node_count();
-  // What dense CSR storage would hold: 24 bytes per inner node (u32
+  // What plain CSR storage would hold: 24 bytes per inner node (u32
   // value_index + u64 child_begin + u32 child_count + u64 leaf_count) and
   // 4 bytes per leaf, which stores only its u32 value_index.
-  const std::size_t projected_dense_bytes =
+  const std::size_t projected_csr_bytes =
       (nodes - configs) * 24 + configs * 4;
   const auto mb = [](std::size_t bytes) {
     return static_cast<double>(bytes) / (1024.0 * 1024.0);
@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
   std::printf("space: %llu configurations, %llu nodes\n",
               static_cast<unsigned long long>(configs),
               static_cast<unsigned long long>(nodes));
-  std::printf("lazy storage holds %.2f MB; dense would hold %.2f MB\n",
-              mb(space.memory_bytes()), mb(projected_dense_bytes));
+  std::printf("lazy storage holds %.2f MB; CSR would hold %.2f MB\n",
+              mb(space.memory_bytes()), mb(projected_csr_bytes));
 
   const auto result = tuner.tune(pseudo_cost);
   std::printf("tuned: %llu evaluations, best cost %.3f\n",
@@ -121,10 +121,10 @@ int main(int argc, char** argv) {
   }
   if (!small) {
     const std::size_t rss_cap = std::size_t{384} << 20;
-    if (projected_dense_bytes <= rss_cap) {
-      std::printf("ERROR: dense projection %.2f MB does not exceed the "
+    if (projected_csr_bytes <= rss_cap) {
+      std::printf("ERROR: CSR projection %.2f MB does not exceed the "
                   "%.0f MB cap — the cap proves nothing\n",
-                  mb(projected_dense_bytes), mb(rss_cap));
+                  mb(projected_csr_bytes), mb(rss_cap));
       ok = false;
     }
     if (peak_rss_bytes() > rss_cap) {

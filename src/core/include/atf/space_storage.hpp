@@ -2,22 +2,29 @@
 //
 // The tree's access algorithms (path_of, values_at, apply, random_neighbor)
 // only ever read one node at a time — value index, child span, leaf count —
-// so the *representation* of the CSR levels is swappable behind a small
-// cursor interface without touching any index-based consumer.
+// so the *representation* of the levels is swappable behind a small cursor
+// interface without touching any index-based consumer.
 //
 // Generation expands the root range in contiguous chunks, and no backend
 // ever concatenates them: every backend keeps one shared *chunk table* —
-// per-chunk leaf and per-level node prefix sums, in root-value order — that
-// translates between the global dense node numbering and chunk-local ids.
+// per-chunk leaf and per-level logical node prefix sums, in root-value
+// order — that places each chunk in the global dense node numbering.
 // Leaf levels store only value indices (a leaf has no children and one
 // leaf). Three backends trade memory for regeneration work:
 //
-//   dense   each chunk's CSR levels exactly as generation produced them —
-//           the bit-identity reference every other backend is tested
-//           against.
-//   packed  each chunk's levels bit-packed to the minimal uniform width per
-//           array (atf/common/bitpack.hpp), by the worker that expanded the
-//           chunk; O(1) reads.
+//   dense   each chunk's tree as a shared-suffix DAG (DESIGN.md §7, §11):
+//           per level, flat arrays of entries (value index, child list id)
+//           grouped into lists, where a list is stored once and referenced
+//           by every prefix whose constraints read the same values. Each
+//           list carries its leaf count and its logical node count at every
+//           deeper level, which give node_count() and the global numbering
+//           without a materialized tree. A group whose constraints read
+//           outside the tp-handle contract falls back to plain per-chunk
+//           CSR.
+//   packed  each chunk's CSR levels bit-packed to the minimal uniform width
+//           per array (atf/common/bitpack.hpp), by the worker that expanded
+//           the chunk; O(1) reads. Built by the plain expansion loop, so it
+//           is also the independent oracle the DAG is tested against.
 //   lazy    no nodes at all: only the chunk table and each chunk's root
 //           span survive generation. Chunk subtrees are regenerated on
 //           demand — constraint evaluation is deterministic, so re-expansion
@@ -68,10 +75,10 @@ struct space_storage_policy {
 
 namespace detail {
 
-/// CSR node arrays of one tree level (= one parameter) of one chunk: the
-/// reference representation that generation produces and every backend is
-/// built from. child_begin is chunk-local. The leaf level fills only
-/// value_index: a leaf has no children and exactly one leaf.
+/// CSR node arrays of one tree level (= one parameter) of one chunk, as
+/// the plain expansion loop produces them. child_begin is chunk-local. The
+/// leaf level fills only value_index: a leaf has no children and exactly one
+/// leaf.
 struct csr_level {
   std::vector<std::uint32_t> value_index;  ///< index into the parameter's range
   std::vector<std::uint64_t> child_begin;  ///< first child in the next level
@@ -89,32 +96,75 @@ struct csr_level {
   }
 };
 
-/// One materialized node, whatever the backend stores underneath.
+/// One materialized node, whatever the backend stores underneath. Node ids
+/// are positions in the backend's stored levels: the global dense
+/// numbering for CSR levels, stored-entry positions for the shared-suffix
+/// DAG (cursor::global_path translates).
 struct node_ref {
   std::uint32_t value_index = 0;
-  std::uint64_t child_begin = 0;  ///< global id of the first child
+  std::uint64_t child_begin = 0;  ///< id of the first child
   std::uint32_t child_count = 0;
   std::uint64_t leaf_count = 0;
 };
 
-/// Expansion output of one root-range chunk: CSR levels plus the counters
-/// that sum across chunks. Shared by tree generation and lazy chunk
-/// regeneration so both produce identical bytes by construction.
-struct expansion_buffers {
-  std::vector<csr_level> levels;
+/// Counters of one chunk's expansion.
+struct expansion_counters {
+  /// Candidate values the plain loop tests: the logical count, identical
+  /// whether or not subtrees were shared.
   std::uint64_t visited_values = 0;
-  std::uint64_t dead_prefixes = 0;
+  std::uint64_t checked_values = 0;  ///< constraint calls actually made
+  std::uint64_t dead_prefixes = 0;   ///< logical, like visited_values
+  std::uint64_t leaves = 0;
 };
 
-/// Expands root values [lo, hi) of level `lvl` into `out` (recursing over
-/// the full range of every deeper level), filtering by each parameter's
-/// constraint through the calling thread's current evaluation context.
-/// Returns the number of valid configurations (leaves) appended. An inner
-/// node is appended only once its subtree has a valid completion, so the
-/// stored nodes are exactly the valid prefixes.
-std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
-                            std::size_t lvl, std::uint64_t lo,
-                            std::uint64_t hi, expansion_buffers& out);
+/// One chunk's expansion in progress: generation appends root values to it
+/// in order, then hands it to the storage_builder. Used by one thread at a
+/// time; constraints run through that thread's evaluation context.
+class chunk_expansion {
+public:
+  virtual ~chunk_expansion() = default;
+  /// Appends root values [lo, hi), after every root value appended before.
+  virtual void expand(std::uint64_t lo, std::uint64_t hi) = 0;
+  /// Logical nodes per level so far.
+  [[nodiscard]] virtual std::vector<std::uint64_t> level_nodes() const = 0;
+  [[nodiscard]] const expansion_counters& counters() const noexcept {
+    return counters_;
+  }
+
+protected:
+  expansion_counters counters_;
+};
+
+/// The plain expansion loop into CSR levels: every valid prefix expands
+/// every deeper level's full range. Packed, lazy (also when regenerating a
+/// chunk) and the dense fallback are built by it.
+class csr_expansion final : public chunk_expansion {
+public:
+  explicit csr_expansion(const std::vector<std::shared_ptr<itp>>& params)
+      : levels(params.size()), params_(params) {}
+
+  void expand(std::uint64_t lo, std::uint64_t hi) override {
+    counters_.leaves += expand_levels(0, lo, hi);
+  }
+  [[nodiscard]] std::vector<std::uint64_t> level_nodes() const override;
+
+  std::vector<csr_level> levels;
+
+private:
+  /// Expands values [lo, hi) of level `lvl` and returns the leaves
+  /// appended. An inner node is appended only once its subtree has a valid
+  /// completion, so the stored nodes are exactly the valid prefixes.
+  std::uint64_t expand_levels(std::size_t lvl, std::uint64_t lo,
+                              std::uint64_t hi);
+
+  const std::vector<std::shared_ptr<itp>>& params_;
+};
+
+/// Thrown by a shared-suffix expansion that cannot represent its group:
+/// a constraint read a handle outside the group or at/after its own level
+/// (sharing would be unsound), or a level outgrew 32-bit entry ids.
+/// Generation then restarts the group with the plain loop.
+struct shared_suffix_unsupported {};
 
 /// The shape of one generated root-range chunk — one row of the chunk
 /// table every backend shares.
@@ -122,12 +172,13 @@ struct chunk_summary {
   std::uint64_t root_lo = 0;  ///< first root value of the chunk
   std::uint64_t root_hi = 0;  ///< one past the last root value
   std::uint64_t leaves = 0;   ///< valid configurations in the chunk
-  std::vector<std::uint64_t> level_nodes;  ///< node count per level
+  std::vector<std::uint64_t> level_nodes;  ///< logical node count per level
 };
 
-/// Abstract node storage. Node ids are *global* per level — identical to
-/// the dense CSR numbering — so the tree's algorithms are representation-
-/// agnostic. Reads go through a cursor: one cursor per tree operation,
+/// Abstract node storage. Node ids are per level and shaped like CSR ids
+/// (a node's children are a contiguous id span), so the tree's algorithms
+/// are representation-agnostic; global_path maps them to the global dense
+/// numbering. Reads go through a cursor: one cursor per tree operation,
 /// giving the lazy backend a place to pin the chunk it is walking (the LRU
 /// cache may not evict a chunk an operation still reads).
 class space_storage {
@@ -136,12 +187,12 @@ public:
   public:
     virtual ~cursor() = default;
 
-    /// The node `id` (global per-level numbering) of level `lvl`.
+    /// The node `id` of level `lvl`.
     [[nodiscard]] virtual node_ref node(std::size_t lvl,
                                         std::uint64_t id) = 0;
 
     /// Entry point of a root-level sibling scan for leaf `index`: returns
-    /// the global level-0 node id at which scanning may start and rewrites
+    /// the level-0 node id at which scanning may start and rewrites
     /// `index` relative to that node. Every backend jumps to the owning
     /// chunk's first root via the chunk table's leaf prefix sums, so a scan
     /// never reads (or, for lazy, materializes) unrelated chunks.
@@ -152,34 +203,48 @@ public:
     /// root_scan_start, used when composing a flat index from a path).
     [[nodiscard]] virtual std::uint64_t leaves_before_root(
         std::uint64_t node) = 0;
+
+    /// The global dense numbering (nodes in depth-first order, per level)
+    /// of the root-to-leaf path `ids`, one node id per level.
+    virtual void global_path(const std::uint64_t* ids,
+                             std::uint64_t* global) = 0;
   };
 
   virtual ~space_storage() = default;
 
   [[nodiscard]] virtual space_storage_backend backend() const noexcept = 0;
   [[nodiscard]] virtual std::size_t depth() const noexcept = 0;
-  /// Nodes of level `lvl` (global count, identical across backends).
+  /// Logical nodes of level `lvl` (identical across backends). Level 0 is
+  /// never shared, so these are also its node ids.
   [[nodiscard]] virtual std::uint64_t level_size(
       std::size_t lvl) const noexcept = 0;
   /// Total logical nodes (identical across backends).
   [[nodiscard]] virtual std::uint64_t node_count() const noexcept = 0;
+  /// Node entries held: the DAG's entries (dense), every logical node (CSR
+  /// backends), none (lazy).
+  [[nodiscard]] virtual std::uint64_t stored_nodes() const noexcept = 0;
   /// Heap bytes actually held right now (for lazy: summaries + live cache).
   [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
   [[nodiscard]] virtual std::unique_ptr<cursor> make_cursor() const = 0;
 };
 
-/// Builds a backend from generation's chunks. Workers hand over each chunk
-/// as they finish it, in any order; add() converts it to the backend's own
-/// per-chunk form on the calling thread (dense keeps the levels as they
-/// are, packed bit-packs them, lazy drops them and keeps the root span) and
-/// only then files it under a short lock. finish() orders the chunks by
-/// root value, drops chunks without leaves (every prefix died, so they hold
-/// no nodes either) and builds the chunk table over the rest.
+/// Builds a backend from generation's chunks. start_chunk() hands each
+/// worker an expansion of the backend's kind; workers hand back each chunk
+/// as they finish it, in any order. add() converts it to the backend's own
+/// per-chunk form on the calling thread (packed bit-packs the levels, lazy
+/// drops them and keeps the root span) and only then files it under a
+/// short lock. finish() orders the chunks by root value, drops chunks
+/// without leaves (every prefix died, so they hold no nodes either) and
+/// builds the chunk table over the rest.
 class storage_builder {
 public:
   virtual ~storage_builder() = default;
   /// Thread-safe.
-  virtual void add(chunk_summary summary, std::vector<csr_level> levels) = 0;
+  [[nodiscard]] virtual std::unique_ptr<chunk_expansion> start_chunk()
+      const = 0;
+  /// Thread-safe; `chunk` must come from this builder's start_chunk().
+  virtual void add(chunk_summary summary,
+                   std::unique_ptr<chunk_expansion> chunk) = 0;
   [[nodiscard]] virtual std::shared_ptr<space_storage> finish() = 0;
 };
 
@@ -188,9 +253,18 @@ public:
 /// *current* evaluation context (contexts are thread-exclusive, so
 /// concurrent operations regenerate without racing; no context is leased,
 /// so regeneration can never deadlock against callers that already hold
-/// one).
+/// one). `share_suffixes` = false builds the dense backend with the plain
+/// loop into CSR: the fallback after a shared_suffix_unsupported.
 [[nodiscard]] std::unique_ptr<storage_builder> make_storage_builder(
     const space_storage_policy& policy,
+    std::vector<std::shared_ptr<itp>> params, bool share_suffixes = true);
+
+/// Deepest group the shared-suffix DAG handles: read sets are 64-bit masks
+/// over levels. Deeper groups use the plain loop.
+inline constexpr std::size_t max_shared_suffix_depth = 64;
+
+/// The dense backend's shared-suffix builder (shared_suffix.cpp).
+[[nodiscard]] std::unique_ptr<storage_builder> make_shared_suffix_builder(
     std::vector<std::shared_ptr<itp>> params);
 
 }  // namespace detail

@@ -9,12 +9,13 @@
 // product, which is what makes ATF's generation take under a second where a
 // product-then-filter generator (CLTune) runs for hours (paper, Section VI-A).
 //
-// The tree is stored level-by-level in CSR form, one partial tree per
-// generation chunk behind a shared chunk table, in a pluggable space_storage
-// backend (space_storage.hpp): dense vectors, bit-packed vectors, or lazily
-// regenerated chunks. Every inner node records the number of leaves below
-// it, so the tree supports random access by flat leaf index in
-// O(depth x average-branching) in every backend. That random access is what
+// The tree is stored level by level, one partial tree per generation chunk
+// behind a shared chunk table, in a pluggable space_storage backend
+// (space_storage.hpp): a shared-suffix DAG that stores every repeated
+// subtree once (dense), bit-packed CSR, or lazily regenerated chunks. Every
+// inner node knows the number of leaves below it, so the tree supports
+// random access by flat leaf index in O(depth x average-branching) in every
+// backend. That random access is what
 // lets the OpenTuner-style search technique treat the whole constrained
 // space as a single integer parameter TP in [0, S) (paper, Section IV-C).
 #pragma once
@@ -46,11 +47,11 @@ struct generation_policy {
   /// granularity floor; 4 matches the pre-adaptive fixed factor.
   std::size_t over_partition = 4;
   /// A running chunk is *hot* — eligible for re-splitting — once its
-  /// visited-value count exceeds this factor × the median visited-value
-  /// count of the chunks completed so far.
+  /// checked-value count (constraint calls made) exceeds this factor × the
+  /// median checked-value count of the chunks completed so far.
   double hot_factor = 2.0;
-  /// Never re-split before a chunk has tested at least this many candidate
-  /// values; also the median stand-in while no chunk has completed. Keeps
+  /// Never re-split before a chunk has made at least this many constraint
+  /// calls; also the median stand-in while no chunk has completed. Keeps
   /// the split bookkeeping amortized against real expansion work.
   std::uint64_t min_split_visited = 512;
   /// Upper bound on total chunks, bounding the chunk table and the per-chunk
@@ -73,20 +74,25 @@ public:
   struct chunk_stat {
     std::uint64_t root_lo = 0;         ///< first root value of the chunk
     std::uint64_t root_hi = 0;         ///< one past the last root value
-    std::uint64_t visited_values = 0;  ///< candidate values tested
+    std::uint64_t visited_values = 0;  ///< candidate values (logical)
+    std::uint64_t checked_values = 0;  ///< constraint calls actually made
     std::uint64_t leaves = 0;          ///< valid configurations survived
-    std::uint64_t nodes = 0;           ///< stored tree nodes contributed
-    std::uint64_t bytes = 0;           ///< dense CSR bytes of those nodes
-                                       ///< (24 B per inner node, 4 B per
-                                       ///< leaf) — what lazy avoids holding
+    std::uint64_t nodes = 0;           ///< logical tree nodes contributed
+    std::uint64_t bytes = 0;           ///< CSR bytes of those nodes (24 B
+                                       ///< per inner node, 4 B per leaf) —
+                                       ///< what a plain tree would hold
     double seconds = 0.0;              ///< wall-clock expansion time
   };
 
   /// Statistics about a generation run (reported by benches and tests).
   struct generation_stats {
     std::uint64_t nodes = 0;            ///< logical tree nodes (all levels)
-    std::uint64_t visited_values = 0;   ///< candidate values tested
-    std::uint64_t dead_prefixes = 0;    ///< prefixes discarded for lack of completion
+    std::uint64_t stored_nodes = 0;     ///< node entries the storage holds
+    /// Candidate values the plain loop tests, whether or not a subtree was
+    /// shared (a memo hit adds the counts stored with it).
+    std::uint64_t visited_values = 0;
+    std::uint64_t checked_values = 0;   ///< constraint calls actually made
+    std::uint64_t dead_prefixes = 0;    ///< prefixes discarded for lack of completion (logical)
     std::uint64_t chunks = 1;           ///< root-range chunks expanded (1 = sequential)
     std::uint64_t resplits = 0;         ///< hot chunks re-split by the scheduler
     std::uint64_t bytes = 0;            ///< storage memory_bytes() right after generation
@@ -151,8 +157,8 @@ public:
   void drop_stats();
 
   /// Writes the per-level node positions of leaf `index` into `path` (which
-  /// must have depth() slots). A node position is an index into that level's
-  /// node arrays (the global dense numbering, whatever the backend).
+  /// must have depth() slots): the global dense numbering, each level's
+  /// nodes counted in depth-first order, whatever the backend stores.
   void path_of(std::uint64_t index, std::uint64_t* path) const;
 
   /// The type-erased values of leaf `index`, one per parameter.
@@ -177,7 +183,7 @@ public:
   [[nodiscard]] std::uint64_t node_count() const noexcept;
 
   /// Heap bytes the node storage holds right now: the chunk table plus, for
-  /// dense, its per-chunk CSR vectors, for packed its bit-packed words, and
+  /// dense, its per-chunk DAG levels, for packed its bit-packed words, and
   /// for lazy the root spans and the chunks currently in the cache.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
@@ -189,6 +195,14 @@ private:
                                   common::thread_pool* pool,
                                   const generation_policy& policy,
                                   const space_storage_policy& storage);
+
+  /// Expands every root chunk into a storage, sequentially (pool null) or
+  /// on the pool. Returns false, having set nothing, when the shared-suffix
+  /// DAG cannot represent the group (detail::shared_suffix_unsupported).
+  bool generate_chunks(common::thread_pool* pool,
+                       const generation_policy& policy,
+                       const space_storage_policy& storage,
+                       bool share_suffixes);
 
   /// path_of against an existing cursor (one cursor per public operation:
   /// the lazy backend pins the chunk it is walking on the cursor).

@@ -21,6 +21,19 @@
 // parallel generation — run each chunk under a scoped_eval_context that
 // leases a private id, so their writes land in disjoint slots and the very
 // same captured handles read the right prefix on every thread.
+//
+// Purity contract. A constraint must be a pure, deterministic function of
+// its candidate value and of the values it reads through tp handles of
+// parameters declared *before* it in the same group: no reads of later (or
+// its own) parameters, of other groups' parameters, or of mutable state
+// outside tp handles. Parallel generation already relies on this (chunks
+// evaluate the same closures concurrently). Shared-suffix generation
+// (DESIGN.md §7) relies on it too: while a group is generated, every
+// tp::eval() on the generating thread reports its parameter to a
+// thread-local read_recorder, and a subtree is reused for every prefix that
+// agrees on the values the subtree read. Reads of handles outside the group
+// or at/after the reading parameter's level are detected and turn sharing
+// off for the group; reads of state outside tp handles cannot be detected.
 #pragma once
 
 #include <array>
@@ -162,6 +175,29 @@ private:
   std::size_t previous_;
 };
 
+/// Records which tuning parameters the constraint evaluations of one
+/// generating thread read. While a recorder is installed in
+/// active_read_recorder, every tp::eval() on that thread reports its shared
+/// state; without one, the check costs one TLS load and a branch.
+struct read_recorder {
+  const void* const* states = nullptr;  ///< the group's tp states, level order
+  std::size_t depth = 0;
+  std::uint64_t mask = 0;  ///< bit l: the parameter at level l was read
+  bool foreign = false;    ///< a handle outside the group was read
+
+  void record(const void* state) noexcept {
+    for (std::size_t lvl = 0; lvl < depth; ++lvl) {
+      if (states[lvl] == state) {
+        mask |= std::uint64_t{1} << lvl;
+        return;
+      }
+    }
+    foreign = true;
+  }
+};
+
+inline thread_local read_recorder* active_read_recorder = nullptr;
+
 /// The shared, mutable state a tp handle points at. The generator writes the
 /// candidate value into the *current context's* slot before evaluating
 /// dependent constraints; slots are cache-line padded so concurrent chunk
@@ -233,8 +269,14 @@ public:
   /// what makes `N / WPT` lazy — and context-indexed, which is what lets
   /// concurrent chunk expansions reuse the same captured handles.
   [[nodiscard]] T eval() const noexcept {
+    if (detail::active_read_recorder != nullptr) [[unlikely]] {
+      detail::active_read_recorder->record(state_.get());
+    }
     return state_->current[detail::current_eval_context()].value;
   }
+
+  /// Identity of the shared state (equal for all copies of a handle).
+  [[nodiscard]] const void* state_id() const noexcept { return state_.get(); }
 
   /// Writes the current value into this thread's context slot (used by the
   /// generator and the tuner).
@@ -272,6 +314,9 @@ public:
   /// thread, so its captured handles read the caller's context.
   virtual bool set_and_check(std::uint64_t i) const = 0;
 
+  /// Sets the calling thread's context slot to range[i] without checking.
+  virtual void set_index(std::uint64_t i) const = 0;
+
   /// The type-erased value of range[i].
   [[nodiscard]] virtual tp_value value_at(std::uint64_t i) const = 0;
 
@@ -281,6 +326,9 @@ public:
   virtual void set_value(const tp_value& v) const = 0;
 
   [[nodiscard]] virtual std::shared_ptr<itp> clone() const = 0;
+
+  /// Identity of the parameter's shared state, as read_recorder sees it.
+  [[nodiscard]] virtual const void* state_id() const noexcept = 0;
 };
 
 namespace detail {
@@ -301,6 +349,9 @@ public:
     param_.set_current(v);
     return param_.satisfies_constraint(v);
   }
+  void set_index(std::uint64_t i) const override {
+    param_.set_current(param_.values()[i]);
+  }
   [[nodiscard]] tp_value value_at(std::uint64_t i) const override {
     return to_tp_value<T>(param_.values()[i]);
   }
@@ -309,6 +360,9 @@ public:
   }
   [[nodiscard]] std::shared_ptr<itp> clone() const override {
     return std::make_shared<itp_impl<T>>(param_);
+  }
+  [[nodiscard]] const void* state_id() const noexcept override {
+    return param_.state_id();
   }
 
 private:

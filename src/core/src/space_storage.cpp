@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <list>
 #include <mutex>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
 #include "atf/common/bitpack.hpp"
+#include "chunk_table.hpp"
 
 namespace atf {
 
@@ -25,18 +25,27 @@ const char* to_string(space_storage_backend backend) noexcept {
 
 namespace detail {
 
-std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
-                            std::size_t lvl, std::uint64_t lo,
-                            std::uint64_t hi, expansion_buffers& out) {
-  csr_level& nodes = out.levels[lvl];
-  const itp& param = *params[lvl];
+std::vector<std::uint64_t> csr_expansion::level_nodes() const {
+  std::vector<std::uint64_t> nodes;
+  nodes.reserve(levels.size());
+  for (const csr_level& level : levels) {
+    nodes.push_back(level.size());
+  }
+  return nodes;
+}
 
-  if (lvl + 1 == out.levels.size()) {
+std::uint64_t csr_expansion::expand_levels(std::size_t lvl, std::uint64_t lo,
+                                           std::uint64_t hi) {
+  csr_level& nodes = levels[lvl];
+  const itp& param = *params_[lvl];
+  counters_.visited_values += hi - lo;
+  counters_.checked_values += hi - lo;
+
+  if (lvl + 1 == levels.size()) {
     // Leaves store only their value index: every leaf has no children and
     // exactly one leaf, so the other arrays would be constant.
     const std::uint64_t before = nodes.size();
     for (std::uint64_t i = lo; i < hi; ++i) {
-      ++out.visited_values;
       if (param.set_and_check(i)) {
         nodes.value_index.push_back(static_cast<std::uint32_t>(i));
       }
@@ -44,21 +53,20 @@ std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
     return nodes.size() - before;
   }
 
-  csr_level& children = out.levels[lvl + 1];
+  csr_level& children = levels[lvl + 1];
   std::uint64_t leaves = 0;
   for (std::uint64_t i = lo; i < hi; ++i) {
-    ++out.visited_values;
     if (!param.set_and_check(i)) {
       continue;
     }
     const std::uint64_t first_child = children.size();
-    const std::uint64_t sub = expand_levels(
-        params, lvl + 1, 0, params[lvl + 1]->range_size(), out);
+    const std::uint64_t sub =
+        expand_levels(lvl + 1, 0, params_[lvl + 1]->range_size());
     if (sub == 0) {
       // No valid completion below this prefix: the recursive call left the
       // deeper levels untouched (it never appends a dead child either), so
       // this node is simply not appended.
-      ++out.dead_prefixes;
+      ++counters_.dead_prefixes;
       continue;
     }
     nodes.value_index.push_back(static_cast<std::uint32_t>(i));
@@ -72,77 +80,6 @@ std::uint64_t expand_levels(const std::vector<std::shared_ptr<itp>>& params,
 }
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// The chunk table all backends share. Generation's chunks partition the
-// root range into disjoint contiguous spans, and sequential expansion
-// numbers nodes chunk-by-chunk in root order — so per-chunk node-count
-// prefix sums translate between the global dense numbering and a chunk-local
-// one exactly, whichever backend holds (or regenerates) the chunk's nodes.
-
-struct chunk_table {
-  /// `chunks` in root order, every chunk with at least one leaf.
-  chunk_table(std::size_t depth, const std::vector<chunk_summary>& chunks)
-      : leaf_before(chunks.size() + 1, 0),
-        node_before(depth, std::vector<std::uint64_t>(chunks.size() + 1, 0)) {
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      leaf_before[c + 1] = leaf_before[c] + chunks[c].leaves;
-      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-        node_before[lvl][c + 1] =
-            node_before[lvl][c] + chunks[c].level_nodes[lvl];
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t depth() const noexcept {
-    return node_before.size();
-  }
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    std::size_t total = leaf_before.capacity() * sizeof(std::uint64_t);
-    for (const auto& prefix : node_before) {
-      total += prefix.capacity() * sizeof(std::uint64_t);
-    }
-    return total;
-  }
-
-  /// The chunk c with before[c] <= id < before[c + 1].
-  [[nodiscard]] static std::size_t owner(
-      const std::vector<std::uint64_t>& before, std::uint64_t id) {
-    return static_cast<std::size_t>(
-        std::upper_bound(before.begin(), before.end(), id) - before.begin() -
-        1);
-  }
-
-  std::vector<std::uint64_t> leaf_before;  ///< [c]: leaves in chunks < c
-  /// [lvl][c]: level-lvl nodes in chunks < c — the translation between
-  /// global dense node ids and chunk-local ones.
-  std::vector<std::vector<std::uint64_t>> node_before;
-};
-
-/// What every backend shares: the chunk table and the shape queries on it.
-class table_storage : public space_storage {
-public:
-  explicit table_storage(chunk_table table) : table_(std::move(table)) {}
-
-  [[nodiscard]] std::size_t depth() const noexcept override {
-    return table_.depth();
-  }
-  [[nodiscard]] std::uint64_t level_size(
-      std::size_t lvl) const noexcept override {
-    return table_.node_before[lvl].back();
-  }
-  [[nodiscard]] std::uint64_t node_count() const noexcept override {
-    std::uint64_t total = 0;
-    for (const auto& prefix : table_.node_before) {
-      total += prefix.back();
-    }
-    return total;
-  }
-  [[nodiscard]] const chunk_table& table() const noexcept { return table_; }
-
-protected:
-  chunk_table table_;
-};
 
 /// One node of a chunk level; works for csr_level and packed_level alike.
 template <class Level>
@@ -198,6 +135,10 @@ public:
       leaves += roots.leaf_count[local];
     }
     return leaves;
+  }
+
+  void global_path(const std::uint64_t* ids, std::uint64_t* global) override {
+    std::copy(ids, ids + table_.depth(), global);
   }
 
 private:
@@ -277,6 +218,9 @@ public:
     }
     return total;
   }
+  [[nodiscard]] std::uint64_t stored_nodes() const noexcept override {
+    return node_count();
+  }
   [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
     return std::make_unique<chunk_cursor<resident_storage>>(*this);
   }
@@ -316,6 +260,9 @@ public:
     std::lock_guard lock(mutex_);
     return total + cached_bytes_;
   }
+  [[nodiscard]] std::uint64_t stored_nodes() const noexcept override {
+    return 0;
+  }
   [[nodiscard]] std::unique_ptr<cursor> make_cursor() const override {
     return std::make_unique<chunk_cursor<lazy_storage>>(*this);
   }
@@ -337,15 +284,14 @@ public:
     // the calling thread's current evaluation context (thread-exclusive, so
     // concurrent regenerations cannot race; a concurrent regeneration of
     // the same chunk just produces an identical duplicate and one wins).
-    expansion_buffers buffers;
-    buffers.levels.resize(table_.depth());
-    (void)expand_levels(params_, 0, spans_[c].lo, spans_[c].hi, buffers);
+    csr_expansion expansion(params_);
+    expansion.expand(spans_[c].lo, spans_[c].hi);
     std::size_t bytes = 0;
-    for (const csr_level& nodes : buffers.levels) {
+    for (const csr_level& nodes : expansion.levels) {
       bytes += nodes.memory_bytes();
     }
     auto levels = std::make_shared<const std::vector<csr_level>>(
-        std::move(buffers.levels));
+        std::move(expansion.levels));
 
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(c);
@@ -386,61 +332,7 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// Building: `Convert` turns one expanded chunk into the backend's per-chunk
-// form on the worker's thread; `Build` makes the storage from the table and
-// the converted chunks in root order.
-
-template <class Convert, class Build>
-class chunk_builder final : public storage_builder {
-  using chunk_type = std::invoke_result_t<Convert, const chunk_summary&,
-                                          std::vector<csr_level>&&>;
-
-public:
-  chunk_builder(std::size_t depth, Convert convert, Build build)
-      : depth_(depth), convert_(std::move(convert)), build_(std::move(build)) {}
-
-  void add(chunk_summary summary, std::vector<csr_level> levels) override {
-    chunk_type chunk = convert_(summary, std::move(levels));
-    std::lock_guard lock(mutex_);
-    entries_.push_back({std::move(summary), std::move(chunk)});
-  }
-
-  [[nodiscard]] std::shared_ptr<space_storage> finish() override {
-    std::sort(entries_.begin(), entries_.end(),
-              [](const entry& a, const entry& b) {
-                return a.summary.root_lo < b.summary.root_lo;
-              });
-    std::vector<chunk_summary> summaries;
-    std::vector<chunk_type> chunks;
-    for (entry& e : entries_) {
-      if (e.summary.leaves != 0) {
-        summaries.push_back(std::move(e.summary));
-        chunks.push_back(std::move(e.chunk));
-      }
-    }
-    entries_.clear();
-    return build_(chunk_table(depth_, summaries), std::move(chunks));
-  }
-
-private:
-  struct entry {
-    chunk_summary summary;
-    chunk_type chunk;
-  };
-
-  std::size_t depth_;
-  Convert convert_;
-  Build build_;
-  std::mutex mutex_;
-  std::vector<entry> entries_;
-};
-
-template <class Convert, class Build>
-std::unique_ptr<storage_builder> builder_of(std::size_t depth, Convert convert,
-                                            Build build) {
-  return std::make_unique<chunk_builder<Convert, Build>>(
-      depth, std::move(convert), std::move(build));
-}
+// Building (chunk_builder, chunk_table.hpp).
 
 template <class Level>
 auto resident_build(space_storage_backend backend) {
@@ -455,42 +347,49 @@ auto resident_build(space_storage_backend backend) {
 
 std::unique_ptr<storage_builder> make_storage_builder(
     const space_storage_policy& policy,
-    std::vector<std::shared_ptr<itp>> params) {
-  const std::size_t depth = params.size();
+    std::vector<std::shared_ptr<itp>> params, bool share_suffixes) {
+  const auto start_csr = [](const std::vector<std::shared_ptr<itp>>& group) {
+    return std::make_unique<csr_expansion>(group);
+  };
   switch (policy.backend) {
     case space_storage_backend::packed:
       return builder_of(
-          depth,
-          [](const chunk_summary&, std::vector<csr_level>&& levels) {
-            return pack_levels(std::move(levels));
+          std::move(params), start_csr,
+          [](const chunk_summary&, csr_expansion&& chunk) {
+            return pack_levels(std::move(chunk.levels));
           },
           resident_build<packed_level>(space_storage_backend::packed));
-    case space_storage_backend::lazy:
+    case space_storage_backend::lazy: {
+      auto build = [params, budget = policy.chunk_cache_bytes](
+                       chunk_table table, std::vector<root_span> spans)
+          -> std::shared_ptr<space_storage> {
+        return std::make_shared<lazy_storage>(params, std::move(table),
+                                              std::move(spans), budget);
+      };
       return builder_of(
-          depth,
-          [](const chunk_summary& summary, std::vector<csr_level>&&) {
+          std::move(params), start_csr,
+          [](const chunk_summary& summary, csr_expansion&&) {
             return root_span{summary.root_lo, summary.root_hi};
           },
-          [params = std::move(params), budget = policy.chunk_cache_bytes](
-              chunk_table table, std::vector<root_span> spans)
-              -> std::shared_ptr<space_storage> {
-            return std::make_shared<lazy_storage>(
-                params, std::move(table), std::move(spans), budget);
-          });
+          std::move(build));
+    }
     case space_storage_backend::dense:
       break;
   }
+  if (share_suffixes && params.size() <= max_shared_suffix_depth) {
+    return make_shared_suffix_builder(std::move(params));
+  }
   return builder_of(
-      depth,
-      [](const chunk_summary&, std::vector<csr_level>&& levels) {
+      std::move(params), start_csr,
+      [](const chunk_summary&, csr_expansion&& chunk) {
         // Growth slack would otherwise be ~half of what the tree holds.
-        for (csr_level& nodes : levels) {
+        for (csr_level& nodes : chunk.levels) {
           nodes.value_index.shrink_to_fit();
           nodes.child_begin.shrink_to_fit();
           nodes.child_count.shrink_to_fit();
           nodes.leaf_count.shrink_to_fit();
         }
-        return std::move(levels);
+        return std::move(chunk.levels);
       },
       resident_build<csr_level>(space_storage_backend::dense));
 }

@@ -1,6 +1,7 @@
 #include "atf/space_tree.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <mutex>
 #include <stdexcept>
@@ -35,13 +36,14 @@ public:
   }
 
   /// Decides between root values of a running chunk whether to re-split.
-  /// `visited` is the chunk's work so far, `remaining` its unexpanded root
-  /// values, `starving` the queue's blocked-consumer count. On true, the
-  /// chunk budget is already debited for the new chunk.
-  bool should_split(std::uint64_t visited, std::uint64_t remaining,
+  /// `checked` is the chunk's work so far (constraint calls made),
+  /// `remaining` its unexpanded root values, `starving` the queue's
+  /// blocked-consumer count. On true, the chunk budget is already debited
+  /// for the new chunk.
+  bool should_split(std::uint64_t checked, std::uint64_t remaining,
                     std::size_t starving) {
     if (!policy_.adaptive || remaining < 2 ||
-        visited < policy_.min_split_visited) {
+        checked < policy_.min_split_visited) {
       return false;
     }
     if (policy_.split_only_when_starving && starving == 0) {
@@ -57,7 +59,7 @@ public:
     if (!completed_.empty()) {
       median = std::max(median, completed_[completed_.size() / 2]);
     }
-    if (static_cast<double>(visited) <=
+    if (static_cast<double>(checked) <=
         policy_.hot_factor * static_cast<double>(median)) {
       return false;
     }
@@ -67,11 +69,11 @@ public:
   }
 
   /// Records a finished chunk's cost (kept sorted for O(1) median reads).
-  void complete(std::uint64_t visited) {
+  void complete(std::uint64_t checked) {
     std::lock_guard lock(mutex_);
     completed_.insert(
-        std::upper_bound(completed_.begin(), completed_.end(), visited),
-        visited);
+        std::upper_bound(completed_.begin(), completed_.end(), checked),
+        checked);
   }
 
   [[nodiscard]] std::uint64_t resplits() const noexcept { return resplits_; }
@@ -85,28 +87,26 @@ private:
   std::mutex mutex_;
 };
 
-/// Per-chunk expansion output: a full set of CSR levels plus the counters
-/// that sum across chunks. Chunk c expands root values [root_lo, root_hi)
-/// only; deeper levels always iterate their full range. root_lo keys the
-/// chunk table — spans are disjoint and contiguous, so ordering chunks by
-/// root_lo reproduces the sequential expansion order no matter which worker
-/// ran a chunk or how often it was re-split.
+/// One finished chunk: its expansion plus the root span it covered. Chunk
+/// c expands root values [root_lo, root_hi) only; deeper levels always
+/// iterate their full range. root_lo keys the chunk table — spans are
+/// disjoint and contiguous, so ordering chunks by root_lo reproduces the
+/// sequential expansion order no matter which worker ran a chunk or how
+/// often it was re-split.
 struct chunk_result {
-  detail::expansion_buffers buffers;
+  std::unique_ptr<detail::chunk_expansion> expansion;
   std::uint64_t root_lo = 0;
   std::uint64_t root_hi = 0;
-  std::uint64_t leaves = 0;
   double seconds = 0.0;
 };
 
-/// Dense CSR bytes of one chunk's nodes (by logical size, not capacity):
-/// 24 B per inner node, 4 B per leaf, which stores only its value index.
-std::size_t chunk_dense_bytes(const chunk_result& part) {
-  const std::vector<detail::csr_level>& levels = part.buffers.levels;
-  std::size_t bytes = 0;
-  for (std::size_t lvl = 0; lvl < levels.size(); ++lvl) {
-    const bool leaf = lvl + 1 == levels.size();
-    bytes += levels[lvl].size() *
+/// CSR bytes of a chunk's logical nodes: 24 B per inner node, 4 B per
+/// leaf, which stores only its value index.
+std::uint64_t csr_bytes(const std::vector<std::uint64_t>& level_nodes) {
+  std::uint64_t bytes = 0;
+  for (std::size_t lvl = 0; lvl < level_nodes.size(); ++lvl) {
+    const bool leaf = lvl + 1 == level_nodes.size();
+    bytes += level_nodes[lvl] *
              (leaf ? sizeof(std::uint32_t)
                    : 2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t));
   }
@@ -142,71 +142,95 @@ space_tree space_tree::generate_impl(const tp_group& group,
     }
     tree.params_.push_back(param);
   }
-  const std::size_t depth = tree.params_.size();
-  const bool lazy = storage.backend == space_storage_backend::lazy;
-  const auto builder = detail::make_storage_builder(storage, tree.params_);
 
   common::stopwatch timer;
-  if (depth == 0) {
+  if (tree.params_.empty()) {
     // A group with no parameters contributes exactly one (empty)
     // configuration so that cross-group products stay well-defined.
     tree.leaf_total_ = 1;
-  } else {
-    const std::uint64_t root_range = tree.params_[0]->range_size();
+    tree.storage_ = detail::make_storage_builder(storage, {})->finish();
+  } else if (!tree.generate_chunks(pool, policy, storage, true)) {
+    // The DAG cannot represent this group (a constraint read outside the
+    // purity contract, or a level outgrew 32-bit ids): generate it again
+    // with the plain loop.
+    (void)tree.generate_chunks(pool, policy, storage, false);
+  }
+  tree.stats_.seconds = timer.elapsed_seconds();
+  tree.stats_.nodes = tree.node_count();
+  tree.stats_.stored_nodes = tree.storage_->stored_nodes();
+  tree.stats_.bytes = tree.memory_bytes();
+  if (storage.backend == space_storage_backend::lazy) {
+    // Per-chunk accounting at lazy chunk counts is itself a per-space
+    // allocation — exactly what the lazy backend exists to avoid.
+    tree.drop_stats();
+  }
+  return tree;
+}
 
-    std::vector<chunk_stat> chunk_stats;
-    std::uint64_t visited_values = 0;
-    std::uint64_t dead_prefixes = 0;
-    std::uint64_t leaf_total = 0;
-    std::mutex stats_mutex;
+bool space_tree::generate_chunks(common::thread_pool* pool,
+                                 const generation_policy& policy,
+                                 const space_storage_policy& storage,
+                                 bool share_suffixes) {
+  const bool lazy = storage.backend == space_storage_backend::lazy;
+  const auto builder =
+      detail::make_storage_builder(storage, params_, share_suffixes);
+  const std::uint64_t root_range = params_[0]->range_size();
 
-    // Consumes one finished chunk on the thread that expanded it: the
-    // builder converts the node buffers to the backend's form (packed bit-
-    // packs them, lazy drops them — this is what makes lazy generation
-    // stream) before the chunk's counters are booked under a short lock.
-    auto consume = [&](chunk_result&& part) {
-      chunk_stat stat;
-      stat.root_lo = part.root_lo;
-      stat.root_hi = part.root_hi;
-      stat.visited_values = part.buffers.visited_values;
-      stat.leaves = part.leaves;
-      stat.bytes = chunk_dense_bytes(part);
-      stat.seconds = part.seconds;
-      detail::chunk_summary summary;
-      summary.root_lo = part.root_lo;
-      summary.root_hi = part.root_hi;
-      summary.leaves = part.leaves;
-      summary.level_nodes.reserve(depth);
-      for (const detail::csr_level& nodes : part.buffers.levels) {
-        summary.level_nodes.push_back(nodes.size());
-        stat.nodes += nodes.size();
-      }
-      builder->add(std::move(summary), std::move(part.buffers.levels));
-      std::lock_guard lock(stats_mutex);
-      chunk_stats.push_back(stat);
-      visited_values += part.buffers.visited_values;
-      dead_prefixes += part.buffers.dead_prefixes;
-      leaf_total += part.leaves;
-    };
+  generation_stats stats;
+  std::vector<chunk_stat> chunk_stats;
+  std::uint64_t leaf_total = 0;
+  std::mutex stats_mutex;
+  std::atomic<bool> unsupported{false};
 
-    // Expands root span [lo, hi) on the calling thread into one chunk.
-    auto expand_chunk = [&](std::uint64_t lo, std::uint64_t hi) {
-      chunk_result part;
-      part.buffers.levels.resize(depth);
-      part.root_lo = lo;
-      part.root_hi = hi;
-      common::stopwatch chunk_timer;
-      part.leaves =
-          detail::expand_levels(tree.params_, 0, lo, hi, part.buffers);
-      part.seconds = chunk_timer.elapsed_seconds();
-      return part;
-    };
+  // Consumes one finished chunk on the thread that expanded it: the
+  // builder converts the expansion to the backend's form (packed bit-packs
+  // it, lazy drops it — this is what makes lazy generation stream) before
+  // the chunk's counters are booked under a short lock.
+  auto consume = [&](chunk_result&& part) {
+    const detail::expansion_counters counters = part.expansion->counters();
+    detail::chunk_summary summary;
+    summary.root_lo = part.root_lo;
+    summary.root_hi = part.root_hi;
+    summary.leaves = counters.leaves;
+    summary.level_nodes = part.expansion->level_nodes();
+    chunk_stat stat;
+    stat.root_lo = part.root_lo;
+    stat.root_hi = part.root_hi;
+    stat.visited_values = counters.visited_values;
+    stat.checked_values = counters.checked_values;
+    stat.leaves = counters.leaves;
+    for (const std::uint64_t nodes : summary.level_nodes) {
+      stat.nodes += nodes;
+    }
+    stat.bytes = csr_bytes(summary.level_nodes);
+    stat.seconds = part.seconds;
+    builder->add(std::move(summary), std::move(part.expansion));
+    std::lock_guard lock(stats_mutex);
+    chunk_stats.push_back(stat);
+    stats.visited_values += counters.visited_values;
+    stats.checked_values += counters.checked_values;
+    stats.dead_prefixes += counters.dead_prefixes;
+    leaf_total += counters.leaves;
+  };
 
-    if (pool == nullptr || root_range <= 1) {
-      // Sequential generation on the calling thread in the ambient
-      // evaluation context. The lazy backend still chunks the root range —
-      // finer chunks mean finer regeneration units — while the other
-      // backends expand one chunk.
+  // Expands root span [lo, hi) on the calling thread into one chunk.
+  auto expand_chunk = [&](std::uint64_t lo, std::uint64_t hi) {
+    chunk_result part;
+    part.expansion = builder->start_chunk();
+    part.root_lo = lo;
+    part.root_hi = hi;
+    common::stopwatch chunk_timer;
+    part.expansion->expand(lo, hi);
+    part.seconds = chunk_timer.elapsed_seconds();
+    return part;
+  };
+
+  if (pool == nullptr || root_range <= 1) {
+    // Sequential generation on the calling thread in the ambient
+    // evaluation context. The lazy backend still chunks the root range —
+    // finer chunks mean finer regeneration units — while the other
+    // backends expand one chunk.
+    try {
       if (lazy && root_range > 1) {
         const std::size_t target = std::min<std::uint64_t>(
             root_range, storage.lazy_target_chunks != 0
@@ -220,50 +244,56 @@ space_tree space_tree::generate_impl(const tp_group& group,
       } else {
         consume(expand_chunk(0, root_range));
       }
-    } else {
-      // Over-partition the root range relative to the worker count so chunks
-      // whose root values die early do not straggle the rest, then let
-      // workers pull chunks from a shared queue. Chunk boundaries never
-      // affect the result, only load balance. Lazy raises the floor to its
-      // target chunk count: chunks are also its regeneration granularity.
-      const std::size_t workers = pool->size() + 1;
-      std::uint64_t floor = static_cast<std::uint64_t>(
-          std::max<std::size_t>(1, workers * policy.over_partition));
-      if (lazy) {
-        floor = std::max<std::uint64_t>(
-            floor, storage.lazy_target_chunks != 0 ? storage.lazy_target_chunks
-                                                   : 64);
-      }
-      const std::size_t initial = static_cast<std::size_t>(
-          std::min<std::uint64_t>(root_range, floor));
-      const auto bounds = common::partition_evenly(
-          static_cast<std::size_t>(root_range), initial);
+    } catch (const detail::shared_suffix_unsupported&) {
+      return false;
+    }
+  } else {
+    // Over-partition the root range relative to the worker count so chunks
+    // whose root values die early do not straggle the rest, then let
+    // workers pull chunks from a shared queue. Chunk boundaries never
+    // affect the result, only load balance. Lazy raises the floor to its
+    // target chunk count: chunks are also its regeneration granularity.
+    const std::size_t workers = pool->size() + 1;
+    std::uint64_t floor = static_cast<std::uint64_t>(
+        std::max<std::size_t>(1, workers * policy.over_partition));
+    if (lazy) {
+      floor = std::max<std::uint64_t>(
+          floor, storage.lazy_target_chunks != 0 ? storage.lazy_target_chunks
+                                                 : 64);
+    }
+    const std::size_t initial = static_cast<std::size_t>(
+        std::min<std::uint64_t>(root_range, floor));
+    const auto bounds = common::partition_evenly(
+        static_cast<std::size_t>(root_range), initial);
 
-      chunk_scheduler scheduler(policy, bounds.size() - 1, workers);
-      common::work_queue<chunk_task> queue;
-      for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
-        queue.push({bounds[c], bounds[c + 1]});
-      }
+    chunk_scheduler scheduler(policy, bounds.size() - 1, workers);
+    common::work_queue<chunk_task> queue;
+    for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
+      queue.push({bounds[c], bounds[c + 1]});
+    }
 
-      queue.drain(*pool, [&](chunk_task task) {
-        // Lease a private evaluation context so this chunk's constraint
-        // evaluations read/write slots disjoint from every concurrent chunk
-        // (and from the ambient context of per-group generation threads).
-        detail::scoped_eval_context context;
-        chunk_result part;
-        part.buffers.levels.resize(depth);
-        part.root_lo = task.lo;
-        common::stopwatch chunk_timer;
-        // Expand one root value at a time so the hot-chunk check runs
-        // between values; appending value-by-value writes exactly the same
-        // bytes as expanding the span in one call.
-        std::uint64_t hi = task.hi;
+    queue.drain(*pool, [&](chunk_task task) {
+      // Lease a private evaluation context so this chunk's constraint
+      // evaluations read/write slots disjoint from every concurrent chunk
+      // (and from the ambient context of per-group generation threads).
+      detail::scoped_eval_context context;
+      chunk_result part;
+      part.expansion = builder->start_chunk();
+      part.root_lo = task.lo;
+      common::stopwatch chunk_timer;
+      // Expand one root value at a time so the hot-chunk check runs
+      // between values; appending value-by-value produces exactly what
+      // expanding the span in one call would.
+      std::uint64_t hi = task.hi;
+      try {
         for (std::uint64_t i = task.lo; i < hi; ++i) {
-          part.leaves +=
-              detail::expand_levels(tree.params_, 0, i, i + 1, part.buffers);
+          if (unsupported.load(std::memory_order_relaxed)) {
+            return;
+          }
+          part.expansion->expand(i, i + 1);
           const std::uint64_t remaining = hi - (i + 1);
-          if (scheduler.should_split(part.buffers.visited_values, remaining,
-                                     queue.starving())) {
+          if (scheduler.should_split(part.expansion->counters().checked_values,
+                                     remaining, queue.starving())) {
             // Give away the tail half of the remaining span; the new chunk
             // carries its own root_lo, so the chunk table stays order-exact.
             const std::uint64_t mid = (i + 1) + remaining / 2;
@@ -271,38 +301,34 @@ space_tree space_tree::generate_impl(const tp_group& group,
             hi = mid;
           }
         }
-        part.root_hi = hi;
-        part.seconds = chunk_timer.elapsed_seconds();
-        scheduler.complete(part.buffers.visited_values);
-        consume(std::move(part));
-      });
-      tree.stats_.resplits = scheduler.resplits();
+      } catch (const detail::shared_suffix_unsupported&) {
+        unsupported.store(true, std::memory_order_relaxed);
+        return;
+      }
+      part.root_hi = hi;
+      part.seconds = chunk_timer.elapsed_seconds();
+      scheduler.complete(part.expansion->counters().checked_values);
+      consume(std::move(part));
+    });
+    if (unsupported.load()) {
+      return false;
     }
-
-    // Chunks completed in scheduling order; restore root-value order. The
-    // spans are disjoint and cover [0, root_range), so this is exactly the
-    // sequential expansion order.
-    std::sort(chunk_stats.begin(), chunk_stats.end(),
-              [](const chunk_stat& a, const chunk_stat& b) {
-                return a.root_lo < b.root_lo;
-              });
-
-    tree.leaf_total_ = leaf_total;
-    tree.stats_.visited_values = visited_values;
-    tree.stats_.dead_prefixes = dead_prefixes;
-    tree.stats_.chunks = chunk_stats.size();
-    tree.stats_.per_chunk = std::move(chunk_stats);
+    stats.resplits = scheduler.resplits();
   }
-  tree.storage_ = builder->finish();
-  tree.stats_.seconds = timer.elapsed_seconds();
-  tree.stats_.nodes = tree.node_count();
-  tree.stats_.bytes = tree.memory_bytes();
-  if (lazy) {
-    // Per-chunk accounting at lazy chunk counts is itself a per-space
-    // allocation — exactly what the lazy backend exists to avoid.
-    tree.drop_stats();
-  }
-  return tree;
+
+  // Chunks completed in scheduling order; restore root-value order. The
+  // spans are disjoint and cover [0, root_range), so this is exactly the
+  // sequential expansion order.
+  std::sort(chunk_stats.begin(), chunk_stats.end(),
+            [](const chunk_stat& a, const chunk_stat& b) {
+              return a.root_lo < b.root_lo;
+            });
+  stats.chunks = chunk_stats.size();
+  stats.per_chunk = std::move(chunk_stats);
+  stats_ = std::move(stats);
+  leaf_total_ = leaf_total;
+  storage_ = builder->finish();
+  return true;
 }
 
 void space_tree::drop_stats() {
@@ -336,7 +362,9 @@ void space_tree::path_of(std::uint64_t index, std::uint64_t* path) const {
     return;
   }
   const auto cursor = storage_->make_cursor();
-  path_of_with(*cursor, index, path);
+  std::vector<std::uint64_t> ids(depth());
+  path_of_with(*cursor, index, ids.data());
+  cursor->global_path(ids.data(), path);
 }
 
 std::uint64_t space_tree::leaf_index_of_path(

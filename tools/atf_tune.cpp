@@ -142,8 +142,9 @@ void usage(const char* argv0) {
       "          [--space-storage dense|packed|lazy] [--chunk-cache-mb N]\n"
       "\n"
       "  --space-storage   how the generated search space stores its nodes:\n"
-      "                    dense (default) plain arrays; packed bit-packed\n"
-      "                    arrays, 3-8x smaller; lazy keeps only per-chunk\n"
+      "                    dense (default) repeated subtrees stored once;\n"
+      "                    packed bit-packed plain tree, 3-8x smaller than\n"
+      "                    plain arrays; lazy keeps only per-chunk\n"
       "                    summaries and regenerates subtrees on demand into\n"
       "                    a bounded cache -- for spaces too large for RAM.\n"
       "                    All backends tune bit-identically.\n"
