@@ -35,7 +35,31 @@ struct run_outcome {
   double best = 0.0;
   std::uint64_t measured = 0;
   std::vector<double> stream;  ///< measured costs in evaluation order
+  std::string work;            ///< surrogate work line (surrogate runs only)
 };
+
+/// Where a surrogate run's own time goes: forests built (against refits
+/// scheduled), fit cost per training sample, candidates scored by the
+/// model and configurations materialized to propose.
+std::string surrogate_work(const atf::search::surrogate_search& technique) {
+  const atf::search::surrogate_trainer& trainer = technique.trainer();
+  const double us_per_sample =
+      trainer.fit_samples() == 0
+          ? 0.0
+          : trainer.fit_seconds() * 1e6 /
+                static_cast<double>(trainer.fit_samples());
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "surrogate work: %llu fits built (%llu refits scheduled), "
+                "%.2f us per fit sample, %llu candidates scored, %llu "
+                "configurations materialized\n",
+                static_cast<unsigned long long>(trainer.fits()),
+                static_cast<unsigned long long>(trainer.refits()),
+                us_per_sample,
+                static_cast<unsigned long long>(technique.scored()),
+                static_cast<unsigned long long>(technique.materialized()));
+  return line;
+}
 
 std::uint64_t measured_of(std::uint64_t evaluations, std::uint64_t cached,
                           std::uint64_t store_hits) {
@@ -48,6 +72,8 @@ template <typename MakeTuner, typename Cost>
 run_outcome run_technique(MakeTuner&& make_tuner, Cost&& cost,
                           std::unique_ptr<atf::search_technique> technique,
                           atf::abort_condition abort) {
+  const auto* surrogate =
+      dynamic_cast<const atf::search::surrogate_search*>(technique.get());
   atf::tuner tuner = make_tuner();
   tuner.cache_evaluations(true);
   tuner.search_technique(std::move(technique));
@@ -62,6 +88,9 @@ run_outcome run_technique(MakeTuner&& make_tuner, Cost&& cost,
                                : std::numeric_limits<double>::infinity();
   out.measured = measured_of(result.evaluations, result.cached_evaluations,
                              result.store_hits);
+  if (surrogate != nullptr) {
+    out.work = surrogate_work(*surrogate);
+  }
   return out;
 }
 
@@ -105,6 +134,7 @@ bool compare_on(const char* workload, MakeTuner&& make_tuner, Cost&& cost,
   std::printf("surrogate reached the bar: %s, measured ratio vs random: "
               "%.2f (gate: <= 0.70)\n",
               reached ? "yes" : "NO", ratio);
+  std::printf("%s", surrogate.work.c_str());
 
   // Bit-identity: the same seed must reproduce the exact measured-cost
   // stream, not merely the same final best.

@@ -80,6 +80,11 @@ public:
   /// configuration carries its space index.
   [[nodiscard]] configuration config_at(std::uint64_t index) const;
 
+  /// The values of configuration `index` in declaration order (the order of
+  /// parameter_names()), without the names: what config_at() is built on,
+  /// for callers that only need the values.
+  void values_at(std::uint64_t index, std::vector<tp_value>& out) const;
+
   /// Replays configuration `index` into the shared tp slots so dependent
   /// expressions (e.g. atf::glb_size arithmetic) evaluate against it. The
   /// values land in the calling thread's *current* evaluation context.

@@ -137,17 +137,28 @@ void search_space::decompose(std::uint64_t index,
   }
 }
 
-configuration search_space::config_at(std::uint64_t index) const {
+void search_space::values_at(std::uint64_t index,
+                             std::vector<tp_value>& out) const {
   if (index >= size_) {
     throw std::out_of_range("search_space: configuration index out of range");
   }
   std::vector<std::uint64_t> leaves;
   decompose(index, leaves);
-  configuration config;
+  out.clear();
   for (std::size_t g = 0; g < trees_.size(); ++g) {
     const auto values = trees_[g].values_at(leaves[g]);
-    for (std::size_t lvl = 0; lvl < values.size(); ++lvl) {
-      config.add(trees_[g].param_name(lvl), values[lvl]);
+    out.insert(out.end(), values.begin(), values.end());
+  }
+}
+
+configuration search_space::config_at(std::uint64_t index) const {
+  std::vector<tp_value> values;
+  values_at(index, values);
+  configuration config;
+  std::size_t at = 0;
+  for (const space_tree& tree : trees_) {
+    for (std::size_t lvl = 0; lvl < tree.depth(); ++lvl) {
+      config.add(tree.param_name(lvl), std::move(values[at++]));
     }
   }
   config.set_space_index(index);

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "atf/common/rng.hpp"
@@ -40,9 +41,23 @@ struct surrogate_prediction {
 
 /// A deterministic random-forest regressor. Fitting twice on the same
 /// (features, targets, seed) produces bit-identical predictions: all
-/// randomness flows from one xoshiro256 stream, ties in split selection
-/// break toward the lower feature index / threshold, and training order is
-/// the caller's sample order.
+/// randomness flows from one xoshiro256 stream and training order is the
+/// caller's sample order.
+///
+/// Split ties. A node tries its features in a seed-shuffled order; an
+/// equal-SSE split on a later feature never replaces an earlier one, so
+/// feature ties break toward the first feature *tried*, and within one
+/// feature toward the lower threshold. The SSE of a split is summed in the
+/// order a node's samples are sorted by the feature, and that order is
+/// part of the contract: each feature's sort is stable and starts from the
+/// order the previous feature's sort left (the node's sample order for the
+/// first feature tried), so samples with equal values keep the order the
+/// earlier features gave them.
+///
+/// Fitting ranks every feature's values once (dense ranks over the fit's
+/// samples, stored column-major) and sorts each node's samples with a
+/// stable counting sort by rank, which yields exactly the permutation a
+/// stable comparison sort by value would.
 class surrogate_model {
 public:
   struct options {
@@ -81,9 +96,12 @@ private:
   };
   using tree = std::vector<node>;
 
-  std::int32_t build_node(tree& t, const std::vector<feature_vector>& features,
-                          const std::vector<double>& targets,
-                          std::vector<std::size_t>& samples, std::size_t lo,
+  /// One fit's column-major feature values, their dense ranks and the
+  /// scratch buffers build_node reuses (defined in surrogate_model.cpp).
+  struct fit_data;
+
+  std::int32_t build_node(tree& t, fit_data& data,
+                          std::vector<std::uint32_t>& samples, std::size_t lo,
                           std::size_t hi, std::size_t depth,
                           common::xoshiro256& rng) const;
 
@@ -92,9 +110,21 @@ private:
 };
 
 /// Shared training-set management for the surrogate techniques: keeps a
-/// bounded window of samples, refits the cost model (valid samples only)
-/// and the invalid classifier head (all samples) at deterministic points,
-/// and folds both into one acquisition score.
+/// bounded window of samples, schedules refits of the cost model (valid
+/// samples only) and the invalid classifier head (all samples) at
+/// deterministic points, and folds both into one acquisition score.
+///
+/// Deferred refits. A refit that falls due only records the window it must
+/// fit and the seed it fits with; the forests are built by fit_pending(),
+/// which the techniques call right before they score. A later due refit
+/// supersedes an unbuilt one (per head: a due refit over an all-valid window
+/// leaves a pending classifier fit alone, as an eager refit would have left
+/// the classifier it had built). Samples a pending fit still needs are kept
+/// after they leave the window. The models fit_pending() builds are
+/// bit-identical to the ones an eager refit at the due point would have
+/// built, so scores — and every proposal stream — do not depend on when a
+/// fit is built; warm-starting from a 200-record journal builds one fit
+/// instead of twelve.
 class surrogate_trainer {
 public:
   struct options {
@@ -114,41 +144,75 @@ public:
 
   /// Adds one observation. Invalid observations (the caller decides — the
   /// techniques pass non-finite or penalty-threshold costs) never reach the
-  /// regression targets; they only train the classifier head. Triggers a
+  /// regression targets; they only train the classifier head. Schedules a
   /// refit once enough new samples accumulated.
   void add(feature_vector features, double cost, bool invalid);
 
-  /// True once the cost model is fit — i.e. at least min_train valid
-  /// samples were seen.
-  [[nodiscard]] bool ready() const noexcept { return cost_model_.trained(); }
+  /// True once the cost model is fit or scheduled — i.e. at least
+  /// min_train valid samples were seen.
+  [[nodiscard]] bool ready() const noexcept {
+    return cost_model_.trained() || cost_fit_.due;
+  }
+
+  /// Builds the scheduled refit, if any; score() requires it.
+  void fit_pending();
 
   /// Acquisition score, lower is better: LCB of the transformed cost
   /// (mean − kappa·stddev) plus invalid_weight · P(invalid). Requires
-  /// ready().
+  /// ready() and no unbuilt refit (fit_pending()); throws std::logic_error
+  /// while a scheduled refit is unbuilt.
   [[nodiscard]] double score(const feature_vector& x) const;
 
-  [[nodiscard]] std::size_t samples() const noexcept {
-    return features_.size();
-  }
+  [[nodiscard]] std::size_t samples() const noexcept { return window_; }
   [[nodiscard]] std::size_t valid_samples() const noexcept { return valid_; }
   [[nodiscard]] std::size_t invalid_samples() const noexcept {
-    return features_.size() - valid_;
+    return window_ - valid_;
   }
+  /// Refits scheduled since reset (each seeds its own fit).
   [[nodiscard]] std::uint64_t refits() const noexcept { return refits_; }
+  /// Refits actually built by fit_pending() since reset: each builds the
+  /// cost forest, the classifier forest or both.
+  [[nodiscard]] std::uint64_t fits() const noexcept { return fits_; }
+  /// Training samples over every forest built since reset.
+  [[nodiscard]] std::uint64_t fit_samples() const noexcept {
+    return fit_samples_;
+  }
+  /// Wall time fit_pending() spent building forests since reset.
+  [[nodiscard]] double fit_seconds() const noexcept { return fit_seconds_; }
 
   [[nodiscard]] const options& opts() const noexcept { return opts_; }
 
 private:
-  void refit();
+  /// A scheduled, not yet built fit of one head: the absolute sample range
+  /// [begin, end) that was the window when it fell due.
+  struct scheduled_fit {
+    bool due = false;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+    std::uint64_t seed = 0;
+  };
+
+  void schedule_refit();
+  void drop_unneeded();
 
   options opts_;
   std::uint64_t seed_ = 0;
-  std::vector<feature_vector> features_;  ///< newest max_train samples
-  std::vector<double> targets_;           ///< asinh(cost); 0 for invalid
-  std::vector<char> invalid_;             ///< per-sample invalid label
-  std::size_t valid_ = 0;
+  /// Samples with absolute indices [first_, added_): the window (the newest
+  /// window_ of them) plus older samples an unbuilt fit still reads.
+  std::deque<feature_vector> features_;
+  std::deque<double> targets_;  ///< asinh(cost); 0 for invalid
+  std::deque<char> invalid_;    ///< per-sample invalid label
+  std::uint64_t first_ = 0;
+  std::uint64_t added_ = 0;
+  std::size_t window_ = 0;
+  std::size_t valid_ = 0;  ///< valid samples in the window
   std::size_t new_since_fit_ = 0;
   std::uint64_t refits_ = 0;
+  std::uint64_t fits_ = 0;
+  std::uint64_t fit_samples_ = 0;
+  double fit_seconds_ = 0.0;
+  scheduled_fit cost_fit_;
+  scheduled_fit invalid_fit_;
   surrogate_model cost_model_;
   surrogate_model invalid_model_;
   bool have_invalid_model_ = false;

@@ -48,6 +48,7 @@ point surrogate_arm::propose_one(
     batch_keys.insert(key_of(p));
     return p;
   }
+  trainer_.fit_pending();
   // Rank a fresh random pool in three preference tiers: the best-scored
   // point never measured before (a flat model score must not pin the arm
   // to one point forever — the exploitation budget has to keep probing new

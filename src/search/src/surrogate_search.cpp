@@ -25,6 +25,16 @@ std::optional<feature_vector> feature_encoder::encode(
   return out;
 }
 
+void feature_encoder::encode(const std::vector<tp_value>& values,
+                             feature_vector& out) const {
+  out.clear();
+  for (const tp_value& value : values) {
+    const double v = to_double(value);
+    out.push_back(v);
+    out.push_back(std::asinh(v));
+  }
+}
+
 surrogate_search::surrogate_search(std::uint64_t seed)
     : surrogate_search(options{}, seed) {}
 
@@ -38,6 +48,9 @@ void surrogate_search::initialize(const search_space& space) {
   trainer_.reset(seed_);
   measured_.clear();
   pending_.clear();
+  materialized_ = 0;
+  skipped_ = 0;
+  scored_ = 0;
 }
 
 void surrogate_search::warm_start(const session::result_store& store) {
@@ -73,12 +86,15 @@ configuration surrogate_search::random_fresh(
   // random draw so the technique never stalls.
   for (int attempt = 0; attempt < 16; ++attempt) {
     configuration config = space().config_at(space().random_index(rng_));
+    ++materialized_;
     const std::uint64_t hash = config.hash();
     if (measured_.count(hash) == 0 && batch_hashes.insert(hash).second) {
       return config;
     }
+    ++skipped_;
   }
   configuration config = space().config_at(space().random_index(rng_));
+  ++materialized_;
   batch_hashes.insert(config.hash());
   return config;
 }
@@ -100,50 +116,57 @@ std::vector<configuration> surrogate_search::propose_batch(
     return batch;
   }
 
-  // Candidate pool: fresh random configurations scored by the model. Ties
-  // break toward the earlier draw, which is itself seed-determined.
+  trainer_.fit_pending();
+
+  // Candidate pool: random space indices scored from their value tuples.
+  // Ties break toward the earlier draw, which is itself seed-determined.
   struct candidate {
-    configuration config;
-    std::uint64_t hash = 0;
     double score = 0.0;
-    std::size_t order = 0;
+    std::size_t draw = 0;
+    std::uint64_t index = 0;
   };
-  std::vector<candidate> pool;
-  pool.reserve(opts_.candidate_pool);
-  std::unordered_set<std::uint64_t> pool_hashes;
-  for (std::size_t draw = 0; draw < opts_.candidate_pool; ++draw) {
-    configuration config = space().config_at(space().random_index(rng_));
-    const std::uint64_t hash = config.hash();
-    if (measured_.count(hash) != 0 || !pool_hashes.insert(hash).second) {
-      continue;
-    }
-    const std::optional<feature_vector> features = encoder_.encode(config);
-    if (!features.has_value()) {
-      continue;
-    }
-    candidate c;
-    c.config = std::move(config);
-    c.hash = hash;
-    c.score = trainer_.score(*features);
-    c.order = pool.size();
-    pool.push_back(std::move(c));
+  std::vector<candidate> pool(opts_.candidate_pool);
+  std::vector<tp_value> values;
+  feature_vector features;
+  for (std::size_t draw = 0; draw < pool.size(); ++draw) {
+    const std::uint64_t index = space().random_index(rng_);
+    space().values_at(index, values);
+    encoder_.encode(values, features);
+    pool[draw] = {trainer_.score(features), draw, index};
   }
+  scored_ += pool.size();
   std::stable_sort(pool.begin(), pool.end(),
                    [](const candidate& a, const candidate& b) {
                      if (a.score != b.score) {
                        return a.score < b.score;
                      }
-                     return a.order < b.order;
+                     return a.draw < b.draw;
                    });
 
+  // Walk the ranking from the best candidate, materializing one at a time
+  // and skipping what was measured or already walked past. A duplicate draw
+  // has the same score and a later draw than its first occurrence, so this
+  // takes exactly the candidates of ranking only the unmeasured first
+  // occurrences.
+  std::unordered_set<std::uint64_t> walked;
   std::size_t next_candidate = 0;
   for (std::size_t s = 0; s < slots; ++s) {
     const bool explore = rng_.uniform() < opts_.exploration;
-    if (!explore && next_candidate < pool.size()) {
-      candidate& c = pool[next_candidate++];
-      batch_hashes.insert(c.hash);
-      batch.push_back(std::move(c.config));
-    } else {
+    bool taken = false;
+    while (!explore && !taken && next_candidate < pool.size()) {
+      configuration config =
+          space().config_at(pool[next_candidate++].index);
+      ++materialized_;
+      const std::uint64_t hash = config.hash();
+      if (measured_.count(hash) != 0 || !walked.insert(hash).second) {
+        ++skipped_;
+        continue;
+      }
+      batch_hashes.insert(hash);
+      batch.push_back(std::move(config));
+      taken = true;
+    }
+    if (!taken) {
       batch.push_back(random_fresh(batch_hashes));
     }
   }
