@@ -12,7 +12,8 @@
 //
 // Usage: dispatch_quality [--small]
 //   --small    sanitizer-budget variant (tiny grid, 3 held-out shapes) —
-//              wired into the ASan and TSan CI jobs.
+//              wired into the ASan and TSan CI jobs. Its grid still trains
+//              the surrogate re-ranker, so "re-rank samples" is never 0.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -47,9 +48,6 @@ int main(int argc, char** argv) {
   (void)std::system(("rm -rf '" + opts.journal_dir + "' && mkdir -p '" +
                      opts.journal_dir + "'")
                         .c_str());
-  // Pure nearest-neighbour in --small keeps the sanitizer run lean; the
-  // full sweep is surrogate-re-ranked.
-  opts.surrogate_rerank = !small;
   blasmini::dispatcher dispatch(dev, opts);
 
   const auto grid = blasmini::size_grid::parse(grid_spec);

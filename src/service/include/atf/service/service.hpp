@@ -185,8 +185,9 @@ private:
   std::thread refiner_;
   bool refiner_running_ = false;
 
-  // Counters on the request path are atomics: requests arrive from many
-  // connection threads while the refiner publishes snapshots.
+  // Counters on the request path are atomics: requests arrive from the
+  // socket server's loop and in-process callers while the refiner
+  // publishes snapshots.
   std::atomic<std::uint64_t> requests_{0}, hits_{0}, misses_{0},
       enqueued_{0}, dropped_{0}, unrefinable_{0}, malformed_{0},
       refines_{0}, failed_refines_{0};

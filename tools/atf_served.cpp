@@ -1,6 +1,6 @@
 // atf_served — the tuning-as-a-service daemon (DESIGN.md §13).
 //
-//   atf_served --socket /tmp/atf.sock --journal-dir ./journals \
+//   atf_served --socket /tmp/atf.sock --journal-dir ./journals
 //              [--device K20m] [--technique opentuner|annealing|surrogate|
 //              random|exhaustive] [--refine-step N] [--seed N]
 //              [--max-pending N] [--batch N] [--merge-from DIR]
@@ -334,10 +334,15 @@ int main(int argc, char** argv) {
     char byte = 0;
     while (::read(signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
     }
-    std::fprintf(stderr, "atf_served: signal %d, draining\n",
-                 static_cast<int>(received_signal));
-
     server.stop();    // finish in-flight replies, close the socket
+    std::fprintf(stderr,
+                 "atf_served: signal %d, drained; %llu connection(s) "
+                 "accepted, %llu refused at the cap of %zu\n",
+                 static_cast<int>(received_signal),
+                 static_cast<unsigned long long>(
+                     server.connections_accepted()),
+                 static_cast<unsigned long long>(server.connections_refused()),
+                 atf::service::socket_server::max_connections);
     service.stop();   // finish the in-flight refinement
     if (opts->compact_on_exit) {
       std::fprintf(stderr, "atf_served: compacted %zu journal(s)\n",

@@ -1,13 +1,13 @@
 // atf_tune — command-line auto-tuner for arbitrary programs, driving
 // ATF's generic program cost function (paper, Section II Step 2).
 //
-//   atf_tune --source app.c --compile ./compile.sh --run ./run.sh \
-//            [--log-file cost.log] \
-//            --param "BLOCK=interval:1:64" \
-//            --param "BLOCK2=interval:1:64:divides=BLOCK" \
-//            --param "UNROLL=set:1,2,4,8" \
-//            [--technique exhaustive|annealing|opentuner|surrogate|random] \
-//            [--evaluations N] [--seconds S] [--seed N] [--csv out.csv] \
+//   atf_tune --source app.c --compile ./compile.sh --run ./run.sh
+//            [--log-file cost.log]
+//            --param "BLOCK=interval:1:64"
+//            --param "BLOCK2=interval:1:64:divides=BLOCK"
+//            --param "UNROLL=set:1,2,4,8"
+//            [--technique exhaustive|annealing|opentuner|surrogate|random]
+//            [--evaluations N] [--seconds S] [--seed N] [--csv out.csv]
 //            [--space-storage dense|packed|lazy] [--chunk-cache-mb N]
 //
 // GEMM grid mode (multi-size dispatch, DESIGN.md §12): instead of tuning a
@@ -15,9 +15,9 @@
 // grid, one crash-safe journal per size in the layout atf_served serves
 // (key xgemm/<device name>/MxNxK):
 //
-//   atf_tune --size-grid "32,128x32,128x32,64" --journal-dir DIR \
-//            [--device NAME] \
-//            [--technique opentuner|annealing|surrogate|random] \
+//   atf_tune --size-grid "32,128x32,128x32,64" --journal-dir DIR
+//            [--device NAME]
+//            [--technique opentuner|annealing|surrogate|random]
 //            [--evaluations N] [--seed N]
 //
 // The grid is tuned through the kernel registry's xgemm family, the same
@@ -28,7 +28,7 @@
 // reference:
 //
 //   atf_tune --list-kernels
-//   atf_tune --kernel stencil2d [--size 66x66x1] [--device NAME] \
+//   atf_tune --kernel stencil2d [--size 66x66x1] [--device NAME]
 //            [--technique T] [--evaluations N] [--seed N] [--journal-dir D]
 //
 // Parameter specs:
