@@ -40,7 +40,9 @@ struct run_outcome {
 
 /// Where a surrogate run's own time goes: forests built (against refits
 /// scheduled), fit cost per training sample, candidates scored by the
-/// model and configurations materialized to propose.
+/// model, the forest steps scoring took and the sibling steps decoding the
+/// pools took (both deterministic), and configurations materialized to
+/// propose.
 std::string surrogate_work(const atf::search::surrogate_search& technique) {
   const atf::search::surrogate_trainer& trainer = technique.trainer();
   const double us_per_sample =
@@ -48,15 +50,19 @@ std::string surrogate_work(const atf::search::surrogate_search& technique) {
           ? 0.0
           : trainer.fit_seconds() * 1e6 /
                 static_cast<double>(trainer.fit_samples());
-  char line[256];
+  char line[384];
   std::snprintf(line, sizeof line,
                 "surrogate work: %llu fits built (%llu refits scheduled), "
-                "%.2f us per fit sample, %llu candidates scored, %llu "
-                "configurations materialized\n",
+                "%.2f us per fit sample, %llu candidates scored, %llu tree "
+                "steps, %llu decode sibling steps, %llu configurations "
+                "materialized\n",
                 static_cast<unsigned long long>(trainer.fits()),
                 static_cast<unsigned long long>(trainer.refits()),
                 us_per_sample,
                 static_cast<unsigned long long>(technique.scored()),
+                static_cast<unsigned long long>(technique.tree_steps()),
+                static_cast<unsigned long long>(
+                    technique.decode_sibling_steps()),
                 static_cast<unsigned long long>(technique.materialized()));
   return line;
 }

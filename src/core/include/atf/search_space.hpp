@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,28 @@ enum class generation_mode {
 
 class search_space {
 public:
+  /// Decodes configuration indices into value indices — each parameter's
+  /// position in its range, in declaration order — through one storage
+  /// cursor per group that lives as long as the decoder, so repeated
+  /// decodes reuse the cursors' cached chunks. Valid while the space lives;
+  /// one thread at a time.
+  class index_decoder {
+  public:
+    explicit index_decoder(const search_space& space);
+
+    /// Writes num_parameters() value indices of configuration `index` to
+    /// `out`.
+    void value_indices(std::uint64_t index, std::uint32_t* out);
+
+    /// Sibling steps the cursors' walks took (cursor::sibling_steps).
+    [[nodiscard]] std::uint64_t sibling_steps() const noexcept;
+
+  private:
+    const search_space* space_;
+    /// Per group; null for a group without parameters.
+    std::vector<std::unique_ptr<detail::space_storage::cursor>> cursors_;
+  };
+
   search_space() = default;
 
   /// Generates the space for the given groups. `threads` sizes the pool for

@@ -3,7 +3,9 @@
 // The tree's access algorithms (path_of, values_at, apply, random_neighbor)
 // only ever read one node at a time — value index, child span, leaf count —
 // so the *representation* of the levels is swappable behind a small cursor
-// interface without touching any index-based consumer.
+// interface without touching any index-based consumer. Decoding a leaf to
+// its value indices (cursor::value_indices, under values_at and apply) is
+// the one walk a backend may run over its own arrays instead; the DAG does.
 //
 // Generation expands the root range in contiguous chunks, and no backend
 // ever concatenates them: every backend keeps one shared *chunk table* —
@@ -208,6 +210,30 @@ public:
     /// of the root-to-leaf path `ids`, one node id per level.
     virtual void global_path(const std::uint64_t* ids,
                              std::uint64_t* global) = 0;
+
+    /// The value index of every level of leaf `index` (< the tree's leaf
+    /// count), written to out[0, depth); the tree has at least one level.
+    /// A sibling scan per inner level, then a direct offset at the leaf
+    /// level (every leaf holds one leaf). This base walk reads through
+    /// node(); the DAG overrides it with a walk over its level arrays.
+    /// Reusing one cursor for many leaves keeps its cached chunk (and, for
+    /// lazy, its pinned chunk) across calls.
+    virtual void value_indices(std::uint64_t index, std::uint32_t* out);
+
+    /// Siblings value_indices scanned past below the root level since the
+    /// cursor was made. The root scan starts at the owning generation
+    /// chunk, whose bounds depend on the generation schedule, so it is left
+    /// out: the count depends only on the tree and the leaves decoded, the
+    /// same in every backend — a deterministic measure of decode work.
+    [[nodiscard]] std::uint64_t sibling_steps() const noexcept {
+      return sibling_steps_;
+    }
+
+  protected:
+    explicit cursor(std::size_t depth) : depth_(depth) {}
+
+    std::size_t depth_;
+    std::uint64_t sibling_steps_ = 0;
   };
 
   virtual ~space_storage() = default;

@@ -164,6 +164,28 @@ public:
   /// The type-erased values of leaf `index`, one per parameter.
   [[nodiscard]] std::vector<tp_value> values_at(std::uint64_t index) const;
 
+  /// A reader of this tree's nodes for repeated value_indices calls: reusing
+  /// one keeps its cached chunk between leaves. Valid while the tree lives;
+  /// null for a tree without levels.
+  [[nodiscard]] std::unique_ptr<detail::space_storage::cursor> make_cursor()
+      const;
+
+  /// The range position of every level's value of leaf `index`, written to
+  /// out[0, depth()), read through `cursor` (from make_cursor()).
+  void value_indices(detail::space_storage::cursor& cursor,
+                     std::uint64_t index, std::uint32_t* out) const;
+
+  /// Level `level`'s parameter value at range position `value_index`.
+  [[nodiscard]] tp_value value_at(std::size_t level,
+                                  std::uint32_t value_index) const {
+    return params_[level]->value_at(value_index);
+  }
+
+  /// Values in level `level`'s parameter range.
+  [[nodiscard]] std::uint64_t range_size(std::size_t level) const {
+    return params_[level]->range_size();
+  }
+
   /// Replays leaf `index` into the shared tp slots (so that constraint /
   /// global-size expressions see its values).
   void apply(std::uint64_t index) const;

@@ -137,17 +137,52 @@ void search_space::decompose(std::uint64_t index,
   }
 }
 
-void search_space::values_at(std::uint64_t index,
-                             std::vector<tp_value>& out) const {
-  if (index >= size_) {
+search_space::index_decoder::index_decoder(const search_space& space)
+    : space_(&space) {
+  cursors_.reserve(space.trees_.size());
+  for (const space_tree& tree : space.trees_) {
+    cursors_.push_back(tree.make_cursor());
+  }
+}
+
+void search_space::index_decoder::value_indices(std::uint64_t index,
+                                                std::uint32_t* out) {
+  if (index >= space_->size_) {
     throw std::out_of_range("search_space: configuration index out of range");
   }
-  std::vector<std::uint64_t> leaves;
-  decompose(index, leaves);
+  // Mixed radix, the last group least significant: peel groups from the
+  // back, each writing its levels just before the previous group's.
+  std::uint32_t* end = out + space_->num_parameters();
+  for (std::size_t g = space_->trees_.size(); g-- > 0;) {
+    const space_tree& tree = space_->trees_[g];
+    const std::uint64_t leaf = index % tree.size();
+    index /= tree.size();
+    end -= tree.depth();
+    if (cursors_[g]) {
+      tree.value_indices(*cursors_[g], leaf, end);
+    }
+  }
+}
+
+std::uint64_t search_space::index_decoder::sibling_steps() const noexcept {
+  std::uint64_t steps = 0;
+  for (const auto& cursor : cursors_) {
+    steps += cursor ? cursor->sibling_steps() : 0;
+  }
+  return steps;
+}
+
+void search_space::values_at(std::uint64_t index,
+                             std::vector<tp_value>& out) const {
+  std::vector<std::uint32_t> indices(num_parameters());
+  index_decoder(*this).value_indices(index, indices.data());
   out.clear();
-  for (std::size_t g = 0; g < trees_.size(); ++g) {
-    const auto values = trees_[g].values_at(leaves[g]);
-    out.insert(out.end(), values.begin(), values.end());
+  out.reserve(indices.size());
+  std::size_t at = 0;
+  for (const space_tree& tree : trees_) {
+    for (std::size_t lvl = 0; lvl < tree.depth(); ++lvl) {
+      out.push_back(tree.value_at(lvl, indices[at++]));
+    }
   }
 }
 

@@ -624,8 +624,8 @@ private:
 class dag_cursor final : public space_storage::cursor {
 public:
   explicit dag_cursor(const dag_storage& storage)
-      : storage_(storage), table_(storage.table()),
-        depth_(table_.depth()) {}
+      : cursor(storage.table().depth()), storage_(storage),
+        table_(storage.table()) {}
 
   [[nodiscard]] node_ref node(std::size_t lvl, std::uint64_t id) override {
     const std::size_t c = chunk_of(lvl, id);
@@ -665,6 +665,44 @@ public:
     return leaves;
   }
 
+  void value_indices(std::uint64_t index, std::uint32_t* out) override {
+    // The owning chunk from the leaf prefix sums; consecutive decodes often
+    // stay in one chunk.
+    const auto& leaf_before = table_.leaf_before;
+    if (index < leaf_before[leaf_chunk_] ||
+        index >= leaf_before[leaf_chunk_ + 1]) {
+      leaf_chunk_ = chunk_table::owner(leaf_before, index);
+    }
+    index -= leaf_before[leaf_chunk_];
+    const dag_level* level = storage_.chunks_[leaf_chunk_].data();
+    // Chunk-local entry positions; the chunk's roots are level 0's entries.
+    std::uint64_t entry = 0;
+    const std::size_t leaf = depth_ - 1;
+    for (std::size_t lvl = 0; lvl < leaf; ++lvl, ++level) {
+      const std::uint32_t* child = level->child.data();
+      const dag_level& next = level[1];
+      const std::uint32_t* list_begin = next.list_begin.data();
+      const std::size_t stride = next.stride;
+      // A list's leaves: its size at the leaf level, else its last count.
+      const std::uint64_t* leaves_of =
+          stride == 0 ? nullptr : next.list_nodes.data() + (stride - 1);
+      const auto leaves = [&](std::uint32_t list) -> std::uint64_t {
+        return leaves_of == nullptr ? list_begin[list + 1] - list_begin[list]
+                                    : leaves_of[std::size_t{list} * stride];
+      };
+      const std::uint64_t first = entry;
+      std::uint64_t here = leaves(child[entry]);
+      while (index >= here) {
+        index -= here;
+        here = leaves(child[++entry]);
+      }
+      sibling_steps_ += lvl == 0 ? 0 : entry - first;
+      out[lvl] = level->value_index[entry];
+      entry = list_begin[child[entry]];
+    }
+    out[leaf] = level->value_index[entry + index];
+  }
+
   void global_path(const std::uint64_t* ids, std::uint64_t* global) override {
     // A node's dense id counts the nodes of its level that come first in
     // depth-first order: those of the chunks before, plus, at every level
@@ -701,8 +739,8 @@ private:
 
   const dag_storage& storage_;
   const chunk_table& table_;
-  std::size_t depth_;
-  std::size_t last_chunk_ = 0;
+  std::size_t last_chunk_ = 0;  ///< chunk of the last node read
+  std::size_t leaf_chunk_ = 0;  ///< chunk of the last leaf decoded
 };
 
 std::unique_ptr<space_storage::cursor> dag_storage::make_cursor() const {

@@ -79,6 +79,24 @@ std::uint64_t csr_expansion::expand_levels(std::size_t lvl, std::uint64_t lo,
   return leaves;
 }
 
+void space_storage::cursor::value_indices(std::uint64_t index,
+                                          std::uint32_t* out) {
+  std::uint64_t id = root_scan_start(index);
+  const std::size_t leaf = depth_ - 1;
+  for (std::size_t lvl = 0; lvl < leaf; ++lvl) {
+    const std::uint64_t first = id;
+    node_ref ref = node(lvl, id);
+    while (index >= ref.leaf_count) {
+      index -= ref.leaf_count;
+      ref = node(lvl, ++id);
+    }
+    sibling_steps_ += lvl == 0 ? 0 : id - first;
+    out[lvl] = ref.value_index;
+    id = ref.child_begin;
+  }
+  out[leaf] = node(leaf, id + index).value_index;
+}
+
 namespace {
 
 /// One node of a chunk level; works for csr_level and packed_level alike.
@@ -102,7 +120,8 @@ template <class Storage>
 class chunk_cursor final : public space_storage::cursor {
 public:
   explicit chunk_cursor(const Storage& storage)
-      : storage_(storage), table_(storage.table()) {}
+      : cursor(storage.table().depth()), storage_(storage),
+        table_(storage.table()) {}
 
   [[nodiscard]] node_ref node(std::size_t lvl, std::uint64_t id) override {
     const auto& before = table_.node_before[lvl];

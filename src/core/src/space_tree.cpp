@@ -383,21 +383,33 @@ std::uint64_t space_tree::leaf_index_of_path(
   return index;
 }
 
+std::unique_ptr<detail::space_storage::cursor> space_tree::make_cursor()
+    const {
+  return depth() == 0 ? nullptr : storage_->make_cursor();
+}
+
+void space_tree::value_indices(detail::space_storage::cursor& cursor,
+                               std::uint64_t index,
+                               std::uint32_t* out) const {
+  if (index >= leaf_total_) {
+    throw std::out_of_range("space_tree: leaf index out of range");
+  }
+  cursor.value_indices(index, out);
+}
+
 std::vector<tp_value> space_tree::values_at(std::uint64_t index) const {
   if (index >= leaf_total_) {
     throw std::out_of_range("space_tree: leaf index out of range");
   }
   std::vector<tp_value> values;
-  values.reserve(depth());
   if (depth() == 0) {
     return values;
   }
-  const auto cursor = storage_->make_cursor();
-  std::vector<std::uint64_t> path(depth());
-  path_of_with(*cursor, index, path.data());
+  std::vector<std::uint32_t> indices(depth());
+  make_cursor()->value_indices(index, indices.data());
+  values.reserve(depth());
   for (std::size_t lvl = 0; lvl < depth(); ++lvl) {
-    values.push_back(
-        params_[lvl]->value_at(cursor->node(lvl, path[lvl]).value_index));
+    values.push_back(value_at(lvl, indices[lvl]));
   }
   return values;
 }
@@ -409,22 +421,17 @@ void space_tree::apply(std::uint64_t index) const {
   if (depth() == 0) {
     return;
   }
-  const auto cursor = storage_->make_cursor();
-  std::vector<std::uint64_t> path(depth());
-  path_of_with(*cursor, index, path.data());
   // Collect every value index before touching the tp slots: a lazy-backend
   // node read may regenerate a chunk, and regeneration itself replays
   // set_and_check through the current context — interleaving the reads with
   // the final writes could clobber values already applied.
-  std::vector<std::uint32_t> value_indices(depth());
-  for (std::size_t lvl = 0; lvl < depth(); ++lvl) {
-    value_indices[lvl] = cursor->node(lvl, path[lvl]).value_index;
-  }
+  std::vector<std::uint32_t> indices(depth());
+  make_cursor()->value_indices(index, indices.data());
   for (std::size_t lvl = 0; lvl < depth(); ++lvl) {
     // set_and_check both writes the shared slot and re-evaluates the
     // constraint; the value is valid by construction, so the result is
     // discarded.
-    (void)params_[lvl]->set_and_check(value_indices[lvl]);
+    (void)params_[lvl]->set_and_check(indices[lvl]);
   }
 }
 

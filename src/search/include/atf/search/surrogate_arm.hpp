@@ -60,7 +60,8 @@ public:
   [[nodiscard]] bool model_ready() const noexcept { return trainer_.ready(); }
 
 private:
-  [[nodiscard]] feature_vector encode(const point& p) const;
+  /// Two features per axis into out[0, 2 * p.size()).
+  static void encode(const point& p, double* out);
   [[nodiscard]] point propose_one(
       std::unordered_set<std::uint64_t>& batch_keys);
   [[nodiscard]] static std::uint64_t key_of(const point& p) noexcept;
@@ -74,6 +75,10 @@ private:
   /// when the model's score surface is flat.
   std::unordered_set<std::uint64_t> measured_;
   std::vector<point> pending_;  ///< points proposed, awaiting their costs
+  // Pool scratch, reused across proposals.
+  std::vector<point> pool_;
+  std::vector<double> rows_;  ///< row-major pool features
+  std::vector<double> scores_;
 };
 
 }  // namespace atf::search

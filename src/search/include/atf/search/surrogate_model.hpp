@@ -20,6 +20,7 @@
 // tames the orders-of-magnitude spread of kernel runtimes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -58,6 +59,14 @@ struct surrogate_prediction {
 /// samples, stored column-major) and sorts each node's samples with a
 /// stable counting sort by rank, which yields exactly the permutation a
 /// stable comparison sort by value would.
+///
+/// Prediction. After a fit the forest is one flat structure-of-arrays
+/// (flat_forest). predict_sums scores a block of candidates tree by tree:
+/// each tree takes exactly its depth in steps for every candidate (a leaf's
+/// children are the leaf itself, so a walk that arrives early stays put),
+/// eight candidates at a time so their loads overlap. Every candidate's
+/// per-tree outputs are added in tree order, so predict(x) — the block of
+/// one — and every candidate of a larger block yield the same bits.
 class surrogate_model {
 public:
   struct options {
@@ -65,6 +74,19 @@ public:
     std::size_t max_depth = 6;
     std::size_t min_leaf = 2;        ///< minimum samples per leaf
     double feature_fraction = 0.7;   ///< features tried per split
+  };
+
+  /// The fitted forest. Node k of the flat arrays belongs to one tree; a
+  /// tree's nodes are contiguous, root first, in preorder.
+  struct flat_forest {
+    std::size_t width = 0;               ///< features per candidate row
+    std::vector<std::int32_t> feature;   ///< split feature; 0 at leaves
+    std::vector<double> threshold;       ///< go left iff x[feature] <= it
+    /// {left, right}; a leaf's pair points at the leaf itself.
+    std::vector<std::array<std::int32_t, 2>> child;
+    std::vector<double> value;           ///< leaf prediction (sample mean)
+    std::vector<std::int32_t> root;      ///< per tree: its root node
+    std::vector<std::uint32_t> depth;    ///< per tree: its deepest leaf
   };
 
   surrogate_model() = default;
@@ -76,37 +98,46 @@ public:
            const std::vector<double>& targets, std::uint64_t seed);
 
   /// Discards a previous fit.
-  void reset() { forest_.clear(); }
+  void reset() { forest_ = flat_forest{}; }
 
-  [[nodiscard]] bool trained() const noexcept { return !forest_.empty(); }
+  [[nodiscard]] bool trained() const noexcept {
+    return !forest_.root.empty();
+  }
 
   /// Mean/stddev over the per-tree predictions; trained() must hold.
   [[nodiscard]] surrogate_prediction predict(const feature_vector& x) const;
 
+  /// The batch pass: `rows` holds n candidates of width() features each,
+  /// row-major. Writes each candidate's sum and sum of squares of the
+  /// per-tree predictions, accumulated in tree order. trained() must hold.
+  void predict_sums(const double* rows, std::size_t n, double* sum,
+                    double* sum_sq) const;
+
+  /// Mean and population stddev from predict_sums' sums.
+  [[nodiscard]] surrogate_prediction summarize(double sum,
+                                               double sum_sq) const;
+
+  /// Tree steps predict_sums takes per candidate: the sum of tree depths.
+  [[nodiscard]] std::uint64_t steps_per_candidate() const noexcept;
+
+  [[nodiscard]] const flat_forest& forest() const noexcept { return forest_; }
+
   [[nodiscard]] const options& opts() const noexcept { return opts_; }
 
 private:
-  /// One node of one tree, stored flat. Leaves have feature == -1.
-  struct node {
-    std::int32_t feature = -1;
-    double threshold = 0.0;
-    std::int32_t left = -1;
-    std::int32_t right = -1;
-    double value = 0.0;  ///< leaf prediction (mean of its samples)
-  };
-  using tree = std::vector<node>;
-
   /// One fit's column-major feature values, their dense ranks and the
   /// scratch buffers build_node reuses (defined in surrogate_model.cpp).
   struct fit_data;
 
-  std::int32_t build_node(tree& t, fit_data& data,
-                          std::vector<std::uint32_t>& samples, std::size_t lo,
-                          std::size_t hi, std::size_t depth,
-                          common::xoshiro256& rng) const;
+  /// Appends the subtree over samples[lo, hi), whose root sits at `depth`,
+  /// to forest_ in preorder; returns its root node and raises `deepest` to
+  /// the depth of its deepest leaf.
+  std::int32_t build_node(fit_data& data, std::vector<std::uint32_t>& samples,
+                          std::size_t lo, std::size_t hi, std::size_t depth,
+                          std::size_t& deepest, common::xoshiro256& rng);
 
   options opts_;
-  std::vector<tree> forest_;
+  flat_forest forest_;
 };
 
 /// Shared training-set management for the surrogate techniques: keeps a
@@ -160,8 +191,16 @@ public:
   /// Acquisition score, lower is better: LCB of the transformed cost
   /// (mean − kappa·stddev) plus invalid_weight · P(invalid). Requires
   /// ready() and no unbuilt refit (fit_pending()); throws std::logic_error
-  /// while a scheduled refit is unbuilt.
+  /// while a scheduled refit is unbuilt. The batch of one.
   [[nodiscard]] double score(const feature_vector& x) const;
+
+  /// Scores n candidates at once: `rows` holds n feature vectors of the
+  /// trained width, row-major; scores[i] is bit-identical to score() of
+  /// row i. One batch pass per head over the whole block.
+  void score_batch(const double* rows, std::size_t n, double* scores) const;
+
+  /// Forest steps score_batch takes per candidate over both heads.
+  [[nodiscard]] std::uint64_t steps_per_candidate() const noexcept;
 
   [[nodiscard]] std::size_t samples() const noexcept { return window_; }
   [[nodiscard]] std::size_t valid_samples() const noexcept { return valid_; }

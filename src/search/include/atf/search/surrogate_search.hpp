@@ -6,9 +6,11 @@
 // ranked by the surrogate's acquisition score (LCB of the predicted cost
 // plus an invalidity penalty), with an ε-fraction of slots kept for pure
 // random exploration; already-measured configurations are skipped, so the
-// measurement budget is spent on new points. Candidates are scored from
-// their value tuples; only the ones the batch walks past are materialized
-// as configurations and hashed.
+// measurement budget is spent on new points. The pool is scored in one
+// batch pass (surrogate_trainer::score_batch) over features read from
+// per-parameter tables by value index, each candidate decoded by cursors
+// the technique holds; only the candidates the batch walks past are
+// materialized as configurations and hashed.
 //
 // Under tuner::session(path) the technique warm-starts from the replayed
 // result store: every surviving journal record becomes a training sample
@@ -25,6 +27,7 @@
 
 #include "atf/common/rng.hpp"
 #include "atf/search/surrogate_model.hpp"
+#include "atf/search_space.hpp"
 #include "atf/search_technique.hpp"
 
 namespace atf::search {
@@ -51,11 +54,6 @@ public:
   /// differently shaped space).
   [[nodiscard]] std::optional<feature_vector> encode(
       const configuration& config) const;
-
-  /// Encodes by *position*: `values` holds one value per encoder parameter
-  /// in the encoder's order (search_space::values_at for the space the
-  /// encoder was built from). Same features as encoding by name.
-  void encode(const std::vector<tp_value>& values, feature_vector& out) const;
 
 private:
   std::vector<std::string> names_;
@@ -124,10 +122,31 @@ public:
   [[nodiscard]] std::uint64_t skipped() const noexcept { return skipped_; }
   /// Candidates scored by the model since initialize.
   [[nodiscard]] std::uint64_t scored() const noexcept { return scored_; }
+  /// Forest steps scoring took since initialize (candidates times the
+  /// steps_per_candidate of the model that scored them).
+  [[nodiscard]] std::uint64_t tree_steps() const noexcept {
+    return tree_steps_;
+  }
+  /// Sibling steps decoding the candidate pools took since initialize.
+  [[nodiscard]] std::uint64_t decode_sibling_steps() const noexcept {
+    return decoder_ ? decoder_->sibling_steps() : 0;
+  }
 
 private:
+  /// One parameter's features (v, asinh v) by range position, filled on
+  /// first use: entry 2k, 2k+1 for value index k, NaN until computed.
+  /// Ranges above max_table_values are encoded per use instead.
+  struct feature_table {
+    const space_tree* tree = nullptr;
+    std::size_t level = 0;
+    std::vector<double> features;  ///< allocated on first use
+  };
+  static constexpr std::uint64_t max_table_values = std::uint64_t{1} << 16;
+
   [[nodiscard]] configuration random_fresh(
       std::unordered_set<std::uint64_t>& batch_hashes);
+  /// Writes parameter p's two features for range position `value_index`.
+  void features_of(std::size_t p, std::uint32_t value_index, double* out);
 
   options opts_;
   std::uint64_t seed_;
@@ -141,6 +160,14 @@ private:
   std::uint64_t materialized_ = 0;
   std::uint64_t skipped_ = 0;
   std::uint64_t scored_ = 0;
+  std::uint64_t tree_steps_ = 0;
+  /// Decodes pool candidates; one cursor per group for the technique's life.
+  std::optional<search_space::index_decoder> decoder_;
+  std::vector<feature_table> tables_;  ///< per parameter, declaration order
+  // Pool scratch, reused across proposals.
+  std::vector<std::uint32_t> value_indices_;
+  std::vector<double> rows_;  ///< row-major pool features
+  std::vector<double> scores_;
 };
 
 }  // namespace atf::search

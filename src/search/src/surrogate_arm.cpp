@@ -14,15 +14,12 @@ void surrogate_arm::initialize(const numeric_domain& domain,
   pending_.clear();
 }
 
-feature_vector surrogate_arm::encode(const point& p) const {
-  feature_vector out;
-  out.reserve(2 * p.size());
+void surrogate_arm::encode(const point& p, double* out) {
   for (const std::uint64_t v : p) {
     const double d = static_cast<double>(v);
-    out.push_back(d);
-    out.push_back(std::asinh(d));
+    *out++ = d;
+    *out++ = std::asinh(d);
   }
-  return out;
 }
 
 std::uint64_t surrogate_arm::key_of(const point& p) noexcept {
@@ -53,7 +50,21 @@ point surrogate_arm::propose_one(
   // point never measured before (a flat model score must not pin the arm
   // to one point forever — the exploitation budget has to keep probing new
   // points), then the best not already in this batch, then the overall
-  // best.
+  // best. The whole pool is drawn before it is scored in one batch pass;
+  // scoring draws nothing, so the stream is that of scoring each draw.
+  const std::size_t n = opts_.candidate_pool;
+  pool_.clear();
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    pool_.push_back(domain_->random_point(rng_));
+  }
+  const std::size_t width = 2 * domain_->dimensions();
+  rows_.resize(n * width);
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    encode(pool_[draw], rows_.data() + draw * width);
+  }
+  scores_.resize(n);
+  trainer_.score_batch(rows_.data(), n, scores_.data());
+
   point best;
   point best_in_batch;
   point best_fresh;
@@ -63,9 +74,9 @@ point surrogate_arm::propose_one(
   bool have_best = false;
   bool have_in_batch = false;
   bool have_fresh = false;
-  for (std::size_t draw = 0; draw < opts_.candidate_pool; ++draw) {
-    point p = domain_->random_point(rng_);
-    const double score = trainer_.score(encode(p));
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    point& p = pool_[draw];
+    const double score = scores_[draw];
     const std::uint64_t key = key_of(p);
     if (!have_best || score < best_score) {
       best = p;
@@ -121,7 +132,9 @@ void surrogate_arm::report_points(const std::vector<double>& costs) {
   const std::size_t reported = std::min(costs.size(), pending_.size());
   for (std::size_t i = 0; i < reported; ++i) {
     const double cost = costs[i];
-    trainer_.add(encode(pending_[i]), cost, !std::isfinite(cost));
+    feature_vector features(2 * pending_[i].size());
+    encode(pending_[i], features.data());
+    trainer_.add(std::move(features), cost, !std::isfinite(cost));
     measured_.insert(key_of(pending_[i]));
   }
   pending_.clear();

@@ -39,6 +39,40 @@ struct moments {
   }
 };
 
+/// Candidates one tree walks at once: independent walks whose node loads
+/// overlap instead of waiting on each other.
+constexpr std::size_t kLanes = 8;
+
+/// Walks Lanes candidates (rows of forest.width features from `block`) down
+/// one tree for `steps` steps and adds the leaf values to their sums.
+template <std::size_t Lanes>
+void walk_lanes(const surrogate_model::flat_forest& forest,
+                std::int32_t root, std::uint32_t steps, const double* block,
+                double* sum, double* sum_sq) {
+  const std::size_t width = forest.width;
+  const std::int32_t* feature = forest.feature.data();
+  const double* threshold = forest.threshold.data();
+  const std::array<std::int32_t, 2>* child = forest.child.data();
+  std::int32_t at[Lanes];
+  for (std::size_t k = 0; k < Lanes; ++k) {
+    at[k] = root;
+  }
+  for (std::uint32_t step = 0; step < steps; ++step) {
+    for (std::size_t k = 0; k < Lanes; ++k) {
+      const auto node = static_cast<std::size_t>(at[k]);
+      const double x =
+          block[k * width + static_cast<std::size_t>(feature[node])];
+      // NaN compares false and goes right.
+      at[k] = child[node][x <= threshold[node] ? 0 : 1];
+    }
+  }
+  for (std::size_t k = 0; k < Lanes; ++k) {
+    const double y = forest.value[static_cast<std::size_t>(at[k])];
+    sum[k] += y;
+    sum_sq[k] += y * y;
+  }
+}
+
 }  // namespace
 
 struct surrogate_model::fit_data {
@@ -89,8 +123,10 @@ void surrogate_model::fit(const std::vector<feature_vector>& features,
         "surrogate_model::fit: features/targets must be parallel and "
         "non-empty");
   }
-  forest_.clear();
-  forest_.reserve(opts_.trees);
+  forest_ = flat_forest{};
+  forest_.width = features.front().size();
+  forest_.root.reserve(opts_.trees);
+  forest_.depth.reserve(opts_.trees);
 
   // Column-major values and per-feature dense ranks, computed once: equal
   // values share a rank and rank order is value order.
@@ -129,17 +165,19 @@ void surrogate_model::fit(const std::vector<feature_vector>& features,
     for (auto& idx : samples) {
       idx = static_cast<std::uint32_t>(rng.below(n));
     }
-    tree built;
-    build_node(built, data, samples, 0, samples.size(), 0, rng);
-    forest_.push_back(std::move(built));
+    std::size_t deepest = 0;
+    forest_.root.push_back(
+        build_node(data, samples, 0, samples.size(), 0, deepest, rng));
+    forest_.depth.push_back(static_cast<std::uint32_t>(deepest));
   }
 }
 
-std::int32_t surrogate_model::build_node(tree& t, fit_data& data,
+std::int32_t surrogate_model::build_node(fit_data& data,
                                          std::vector<std::uint32_t>& samples,
                                          std::size_t lo, std::size_t hi,
                                          std::size_t depth,
-                                         common::xoshiro256& rng) const {
+                                         std::size_t& deepest,
+                                         common::xoshiro256& rng) {
   const std::vector<double>& targets = *data.targets;
   const std::size_t count = hi - lo;
   moments all;
@@ -147,15 +185,25 @@ std::int32_t surrogate_model::build_node(tree& t, fit_data& data,
     all.add(targets[samples[i]]);
   }
 
+  // Appends a node; a leaf's children are itself and its feature 0, so a
+  // fixed-length walk can keep stepping once it arrived.
+  const auto push_node = [&](std::int32_t feature, double threshold,
+                             double value) {
+    const auto self = static_cast<std::int32_t>(forest_.value.size());
+    forest_.feature.push_back(feature);
+    forest_.threshold.push_back(threshold);
+    forest_.child.push_back({self, self});
+    forest_.value.push_back(value);
+    return self;
+  };
   const auto make_leaf = [&]() -> std::int32_t {
-    node leaf;
-    leaf.value = all.mean();
-    t.push_back(leaf);
-    return static_cast<std::int32_t>(t.size() - 1);
+    deepest = std::max(deepest, depth);
+    return push_node(0, 0.0, all.mean());
   };
 
+  // Without features (a space with no parameters) nothing can split.
   if (depth >= opts_.max_depth || count < 2 * opts_.min_leaf ||
-      all.sse() == 0.0) {
+      all.sse() == 0.0 || data.width == 0) {
     return make_leaf();
   }
 
@@ -228,42 +276,63 @@ std::int32_t surrogate_model::build_node(tree& t, fit_data& data,
   std::copy(right_part.begin(), right_part.end(),
             samples.begin() + static_cast<std::ptrdiff_t>(mid));
 
-  const std::int32_t self = static_cast<std::int32_t>(t.size());
-  t.emplace_back();
-  t[self].feature = static_cast<std::int32_t>(best_feature);
-  t[self].threshold = best_threshold;
+  const std::int32_t self =
+      push_node(static_cast<std::int32_t>(best_feature), best_threshold, 0.0);
   const std::int32_t left_child =
-      build_node(t, data, samples, lo, mid, depth + 1, rng);
+      build_node(data, samples, lo, mid, depth + 1, deepest, rng);
   const std::int32_t right_child =
-      build_node(t, data, samples, mid, hi, depth + 1, rng);
-  t[self].left = left_child;
-  t[self].right = right_child;
+      build_node(data, samples, mid, hi, depth + 1, deepest, rng);
+  forest_.child[static_cast<std::size_t>(self)] = {left_child, right_child};
   return self;
 }
 
 surrogate_prediction surrogate_model::predict(const feature_vector& x) const {
-  surrogate_prediction out;
-  if (forest_.empty()) {
-    return out;
+  if (!trained()) {
+    return {};
   }
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (const tree& t : forest_) {
-    // The root is always node 0: build_node pushes it before recursing.
-    std::int32_t at = 0;
-    while (t[static_cast<std::size_t>(at)].feature >= 0) {
-      const node& n = t[static_cast<std::size_t>(at)];
-      at = x[static_cast<std::size_t>(n.feature)] <= n.threshold ? n.left
-                                                                 : n.right;
+  predict_sums(x.data(), 1, &sum, &sum_sq);
+  return summarize(sum, sum_sq);
+}
+
+void surrogate_model::predict_sums(const double* rows, std::size_t n,
+                                   double* sum, double* sum_sq) const {
+  std::fill(sum, sum + n, 0.0);
+  std::fill(sum_sq, sum_sq + n, 0.0);
+  const std::size_t width = forest_.width;
+  // Tree-major: one tree's nodes stay cache-resident over the whole block,
+  // and each candidate's sums still grow in tree order.
+  for (std::size_t t = 0; t < forest_.root.size(); ++t) {
+    const std::int32_t root = forest_.root[t];
+    const std::uint32_t steps = forest_.depth[t];
+    std::size_t i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+      walk_lanes<kLanes>(forest_, root, steps, rows + i * width, sum + i,
+                         sum_sq + i);
     }
-    const double y = t[static_cast<std::size_t>(at)].value;
-    sum += y;
-    sum_sq += y * y;
+    for (; i < n; ++i) {
+      walk_lanes<1>(forest_, root, steps, rows + i * width, sum + i,
+                    sum_sq + i);
+    }
   }
-  const double count = static_cast<double>(forest_.size());
+}
+
+surrogate_prediction surrogate_model::summarize(double sum,
+                                                double sum_sq) const {
+  const double count = static_cast<double>(forest_.root.size());
+  surrogate_prediction out;
   out.mean = sum / count;
   out.stddev = std::sqrt(std::max(0.0, sum_sq / count - out.mean * out.mean));
   return out;
+}
+
+std::uint64_t surrogate_model::steps_per_candidate() const noexcept {
+  std::uint64_t steps = 0;
+  for (const std::uint32_t d : forest_.depth) {
+    steps += d;
+  }
+  return steps;
 }
 
 surrogate_trainer::surrogate_trainer(options opts, std::uint64_t seed)
@@ -394,18 +463,38 @@ void surrogate_trainer::fit_pending() {
 }
 
 double surrogate_trainer::score(const feature_vector& x) const {
+  double s = 0.0;
+  score_batch(x.data(), 1, &s);
+  return s;
+}
+
+void surrogate_trainer::score_batch(const double* rows, std::size_t n,
+                                    double* scores) const {
   if (cost_fit_.due || invalid_fit_.due) {
     throw std::logic_error(
         "surrogate_trainer::score: a scheduled refit is unbuilt; call "
         "fit_pending() first");
   }
-  const surrogate_prediction p = cost_model_.predict(x);
-  double s = p.mean - opts_.kappa * p.stddev;
-  if (have_invalid_model_) {
-    const double raw = invalid_model_.predict(x).mean;
-    s += opts_.invalid_weight * std::clamp(raw, 0.0, 1.0);
+  std::vector<double> sums(2 * n);
+  double* sum = sums.data();
+  double* sum_sq = sums.data() + n;
+  cost_model_.predict_sums(rows, n, sum, sum_sq);
+  for (std::size_t i = 0; i < n; ++i) {
+    const surrogate_prediction p = cost_model_.summarize(sum[i], sum_sq[i]);
+    scores[i] = p.mean - opts_.kappa * p.stddev;
   }
-  return s;
+  if (have_invalid_model_) {
+    invalid_model_.predict_sums(rows, n, sum, sum_sq);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double raw = invalid_model_.summarize(sum[i], sum_sq[i]).mean;
+      scores[i] += opts_.invalid_weight * std::clamp(raw, 0.0, 1.0);
+    }
+  }
+}
+
+std::uint64_t surrogate_trainer::steps_per_candidate() const noexcept {
+  return cost_model_.steps_per_candidate() +
+         (have_invalid_model_ ? invalid_model_.steps_per_candidate() : 0);
 }
 
 }  // namespace atf::search

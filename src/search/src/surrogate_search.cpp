@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "atf/session/result_store.hpp"
 
@@ -25,16 +26,6 @@ std::optional<feature_vector> feature_encoder::encode(
   return out;
 }
 
-void feature_encoder::encode(const std::vector<tp_value>& values,
-                             feature_vector& out) const {
-  out.clear();
-  for (const tp_value& value : values) {
-    const double v = to_double(value);
-    out.push_back(v);
-    out.push_back(std::asinh(v));
-  }
-}
-
 surrogate_search::surrogate_search(std::uint64_t seed)
     : surrogate_search(options{}, seed) {}
 
@@ -51,6 +42,40 @@ void surrogate_search::initialize(const search_space& space) {
   materialized_ = 0;
   skipped_ = 0;
   scored_ = 0;
+  tree_steps_ = 0;
+  decoder_.emplace(space);
+  tables_.clear();
+  for (std::size_t g = 0; g < space.num_groups(); ++g) {
+    const space_tree& tree = space.group(g);
+    for (std::size_t lvl = 0; lvl < tree.depth(); ++lvl) {
+      tables_.push_back({&tree, lvl, {}});
+    }
+  }
+}
+
+void surrogate_search::features_of(std::size_t p, std::uint32_t value_index,
+                                   double* out) {
+  feature_table& table = tables_[p];
+  const auto encode = [&](double* slot) {
+    const double v = to_double(table.tree->value_at(table.level, value_index));
+    slot[0] = v;
+    slot[1] = std::asinh(v);
+  };
+  const std::uint64_t range = table.tree->range_size(table.level);
+  if (range > max_table_values) {
+    encode(out);
+    return;
+  }
+  if (table.features.empty()) {
+    table.features.assign(2 * range,
+                          std::numeric_limits<double>::quiet_NaN());
+  }
+  double* slot = table.features.data() + 2 * std::size_t{value_index};
+  if (std::isnan(slot[0])) {
+    encode(slot);  // a NaN value is simply encoded again on every use
+  }
+  out[0] = slot[0];
+  out[1] = slot[1];
 }
 
 void surrogate_search::warm_start(const session::result_store& store) {
@@ -118,23 +143,40 @@ std::vector<configuration> surrogate_search::propose_batch(
 
   trainer_.fit_pending();
 
-  // Candidate pool: random space indices scored from their value tuples.
-  // Ties break toward the earlier draw, which is itself seed-determined.
+  // Candidate pool: random space indices, all drawn before any is scored
+  // (scoring draws nothing, so the stream is unchanged), decoded to value
+  // indices, encoded from the feature tables into one row-major block and
+  // scored in one batch pass. Ties break toward the earlier draw, which is
+  // itself seed-determined.
   struct candidate {
     double score = 0.0;
     std::size_t draw = 0;
     std::uint64_t index = 0;
   };
-  std::vector<candidate> pool(opts_.candidate_pool);
-  std::vector<tp_value> values;
-  feature_vector features;
-  for (std::size_t draw = 0; draw < pool.size(); ++draw) {
-    const std::uint64_t index = space().random_index(rng_);
-    space().values_at(index, values);
-    encoder_.encode(values, features);
-    pool[draw] = {trainer_.score(features), draw, index};
+  const std::size_t n = opts_.candidate_pool;
+  std::vector<candidate> pool(n);
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    pool[draw].draw = draw;
+    pool[draw].index = space().random_index(rng_);
   }
-  scored_ += pool.size();
+  const std::size_t params = tables_.size();
+  const std::size_t width = 2 * params;
+  value_indices_.resize(params);
+  rows_.resize(n * width);
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    decoder_->value_indices(pool[draw].index, value_indices_.data());
+    double* row = rows_.data() + draw * width;
+    for (std::size_t p = 0; p < params; ++p) {
+      features_of(p, value_indices_[p], row + 2 * p);
+    }
+  }
+  scores_.resize(n);
+  trainer_.score_batch(rows_.data(), n, scores_.data());
+  for (std::size_t draw = 0; draw < n; ++draw) {
+    pool[draw].score = scores_[draw];
+  }
+  scored_ += n;
+  tree_steps_ += n * trainer_.steps_per_candidate();
   std::stable_sort(pool.begin(), pool.end(),
                    [](const candidate& a, const candidate& b) {
                      if (a.score != b.score) {

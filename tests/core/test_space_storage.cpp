@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "atf/common/rng.hpp"
@@ -323,6 +325,124 @@ TEST(SpaceStorage, SingleValueTreeWorksInEveryBackend) {
     EXPECT_EQ(tree.values_at(0).size(), 1u);
     atf::common::xoshiro256 rng(1);
     EXPECT_EQ(tree.random_neighbor(0, rng), 0u);
+  }
+}
+
+// value_indices through one reused cursor, against an enumeration that does
+// not use the tree: A in 1..24, B in 1..24 dividing A, C in 1..8 dividing
+// B, optionally with a D in 1..3 that B's constraint reads (a read after its
+// own level, which turns the DAG off: the dense CSR fallback).
+
+struct enumerated_leaf {
+  std::vector<std::uint32_t> value_indices;
+  std::uint64_t sibling_steps = 0;  ///< sibling ordinals below the root
+};
+
+std::vector<enumerated_leaf> enumerate_chain(bool with_d) {
+  std::vector<enumerated_leaf> leaves;
+  for (std::uint32_t a = 1; a <= 24; ++a) {
+    std::uint64_t b_ordinal = 0;
+    for (std::uint32_t b = 1; b <= 24; ++b) {
+      if (a % b != 0) {
+        continue;
+      }
+      std::uint64_t c_ordinal = 0;
+      for (std::uint32_t c = 1; c <= 8; ++c) {
+        if (b % c != 0) {
+          continue;
+        }
+        if (!with_d) {
+          leaves.push_back({{a - 1, b - 1, c - 1}, b_ordinal});
+        } else {
+          for (std::uint32_t d = 1; d <= 3; ++d) {
+            leaves.push_back({{a - 1, b - 1, c - 1, d - 1},
+                              b_ordinal + c_ordinal});
+          }
+        }
+        ++c_ordinal;
+      }
+      ++b_ordinal;
+    }
+  }
+  return leaves;
+}
+
+atf::tp_group make_chain_group(bool with_d) {
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, 24));
+  auto d = atf::tp("D", atf::interval<std::size_t>(1, 3));
+  auto b = atf::tp("B", atf::interval<std::size_t>(1, 24),
+                   atf::pred([a, d, with_d](std::size_t v) {
+                     return a.eval() % v == 0 &&
+                            (!with_d || v % 2 == 0 || d.eval() < 1000);
+                   }));
+  auto c = atf::tp("C", atf::interval<std::size_t>(1, 8), atf::divides(b));
+  return with_d ? atf::G(a, b, c, d) : atf::G(a, b, c);
+}
+
+void expect_value_indices(const atf::space_tree& tree,
+                          const std::vector<enumerated_leaf>& expected,
+                          const std::string& label) {
+  ASSERT_EQ(tree.size(), expected.size()) << label;
+  const auto cursor = tree.make_cursor();
+  ASSERT_NE(cursor, nullptr);
+  std::vector<std::uint32_t> got(tree.depth());
+  // Every leaf in order, then in reverse, through the one cursor.
+  std::uint64_t steps = 0;
+  for (std::uint64_t index = 0; index < tree.size(); ++index) {
+    tree.value_indices(*cursor, index, got.data());
+    ASSERT_EQ(got, expected[index].value_indices) << label << " leaf " << index;
+    steps += expected[index].sibling_steps;
+    const std::vector<atf::tp_value> values = tree.values_at(index);
+    for (std::size_t lvl = 0; lvl < tree.depth(); ++lvl) {
+      ASSERT_EQ(atf::from_tp_value<std::size_t>(values[lvl]),
+                expected[index].value_indices[lvl] + 1u)
+          << label << " leaf " << index;
+    }
+  }
+  for (std::uint64_t index = tree.size(); index-- > 0;) {
+    tree.value_indices(*cursor, index, got.data());
+    ASSERT_EQ(got, expected[index].value_indices) << label << " leaf " << index;
+    steps += expected[index].sibling_steps;
+  }
+  // Random leaves: consecutive decodes land in different chunks.
+  atf::common::xoshiro256 rng(0xc0ffee);
+  for (int draw = 0; draw < 2000; ++draw) {
+    const std::uint64_t index = tree.random_index(rng);
+    tree.value_indices(*cursor, index, got.data());
+    ASSERT_EQ(got, expected[index].value_indices) << label << " leaf " << index;
+    steps += expected[index].sibling_steps;
+  }
+  EXPECT_EQ(cursor->sibling_steps(), steps) << label;
+  EXPECT_THROW(tree.value_indices(*cursor, tree.size(), got.data()),
+               std::out_of_range);
+}
+
+TEST(SpaceStorage, ValueIndicesThroughOneCursorMatchTheEnumeration) {
+  atf::common::thread_pool pool(3);
+  atf::generation_policy eager;  // many small chunks, re-split freely
+  eager.min_split_visited = 8;
+  eager.split_only_when_starving = false;
+  for (const bool with_d : {false, true}) {
+    const auto group = make_chain_group(with_d);
+    const std::vector<enumerated_leaf> expected = enumerate_chain(with_d);
+    const std::string shape = with_d ? "csr fallback" : "dag";
+    const auto dense = atf::space_tree::generate(group);
+    // The DAG shares C's lists across B; the fallback stores every node.
+    if (with_d) {
+      EXPECT_EQ(dense.stats().stored_nodes, dense.node_count());
+    } else {
+      EXPECT_LT(dense.stats().stored_nodes, dense.node_count());
+    }
+    expect_value_indices(dense, expected, shape + " dense");
+    for (const auto backend : kBackends) {
+      const auto chunked = atf::space_tree::generate(
+          group, pool, eager,
+          policy_for(backend, /*cache_bytes=*/1 << 10,
+                     /*target_chunks=*/16));
+      EXPECT_GE(chunked.stats().chunks, 4u);
+      expect_value_indices(chunked, expected,
+                           shape + " chunked " + atf::to_string(backend));
+    }
   }
 }
 

@@ -5,7 +5,10 @@
 // empty/all-invalid edge cases (DESIGN.md §10).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -29,6 +32,7 @@ namespace {
 using atf::search::feature_encoder;
 using atf::search::feature_vector;
 using atf::search::surrogate_model;
+using atf::search::surrogate_prediction;
 using atf::search::surrogate_search;
 using atf::search::surrogate_trainer;
 
@@ -115,6 +119,179 @@ TEST(SurrogateModel, RejectsMismatchedInput) {
   surrogate_model model;
   EXPECT_THROW(model.fit({}, {}, 1), std::invalid_argument);
   EXPECT_THROW(model.fit({{1.0}}, {1.0, 2.0}, 1), std::invalid_argument);
+}
+
+bool is_leaf(const surrogate_model::flat_forest& f, std::int32_t node) {
+  return f.child[static_cast<std::size_t>(node)][0] == node;
+}
+
+// The batch pass against an independent walk: from each tree's root until
+// a node whose children are itself, summed in tree order.
+surrogate_prediction reference_predict(const surrogate_model& model,
+                                       const double* x) {
+  const surrogate_model::flat_forest& f = model.forest();
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (const std::int32_t root : f.root) {
+    std::int32_t at = root;
+    while (!is_leaf(f, at)) {
+      const auto k = static_cast<std::size_t>(at);
+      at = x[f.feature[k]] <= f.threshold[k] ? f.child[k][0] : f.child[k][1];
+    }
+    const double y = f.value[static_cast<std::size_t>(at)];
+    sum += y;
+    sum_sq += y * y;
+  }
+  const double count = static_cast<double>(f.root.size());
+  surrogate_prediction out;
+  out.mean = sum / count;
+  out.stddev = std::sqrt(std::max(0.0, sum_sq / count - out.mean * out.mean));
+  return out;
+}
+
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// n candidate rows of width 3, row-major, with NaN and ±inf sprinkled in.
+std::vector<double> candidate_rows(std::size_t n) {
+  std::vector<double> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double a = static_cast<double>((i * 37) % 61) - 5.0;
+    const double b = static_cast<double>((i * 11) % 17);
+    double c = static_cast<double>(i % 9) * 0.5;
+    if (i % 13 == 4) {
+      c = std::numeric_limits<double>::quiet_NaN();
+    } else if (i % 13 == 7) {
+      c = kInf;
+    } else if (i % 13 == 9) {
+      c = -kInf;
+    }
+    rows.insert(rows.end(), {i % 11 == 3 ? std::nan("") : a, b, c});
+  }
+  return rows;
+}
+
+/// Leaf depths of one tree, by an explicit preorder walk.
+void leaf_depths(const surrogate_model::flat_forest& f, std::int32_t node,
+                 std::uint32_t depth, std::vector<std::uint32_t>& out) {
+  if (is_leaf(f, node)) {
+    out.push_back(depth);
+    return;
+  }
+  const auto& children = f.child[static_cast<std::size_t>(node)];
+  leaf_depths(f, children[0], depth + 1, out);
+  leaf_depths(f, children[1], depth + 1, out);
+}
+
+void expect_batch_matches(const surrogate_model& model) {
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 255u, 256u, 257u}) {
+    const std::vector<double> rows = candidate_rows(n);
+    std::vector<double> sum(n, -1.0);
+    std::vector<double> sum_sq(n, -1.0);
+    model.predict_sums(rows.data(), n, sum.data(), sum_sq.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = rows.data() + 3 * i;
+      const auto batch = model.summarize(sum[i], sum_sq[i]);
+      const auto single = model.predict(feature_vector(row, row + 3));
+      const auto reference = reference_predict(model, row);
+      ASSERT_EQ(bits(batch.mean), bits(reference.mean)) << n << " " << i;
+      ASSERT_EQ(bits(batch.stddev), bits(reference.stddev)) << n << " " << i;
+      ASSERT_EQ(bits(single.mean), bits(reference.mean)) << n << " " << i;
+      ASSERT_EQ(bits(single.stddev), bits(reference.stddev)) << n << " " << i;
+    }
+  }
+}
+
+TEST(SurrogateModel, BatchPassEqualsPredictAndTheNodeWalk) {
+  std::vector<feature_vector> features;
+  std::vector<double> targets;
+  for (int i = 0; i < 160; ++i) {
+    const double a = static_cast<double>((i * 7) % 50) - 5.0;
+    const double b = static_cast<double>((i * 3) % 17);
+    const double c = static_cast<double>(i % 9) * 0.5;
+    features.push_back({a, b, c});
+    targets.push_back(std::asinh((a - 20) * (a - 20) + 3 * b + c));
+  }
+  surrogate_model model;
+  model.fit(features, targets, 99);
+  const surrogate_model::flat_forest& f = model.forest();
+  ASSERT_EQ(f.root.size(), model.opts().trees);
+  // Leaves shallower than their tree's step count exist: the fixed-length
+  // walk must park on them.
+  bool shallow = false;
+  std::uint64_t steps = 0;
+  for (std::size_t t = 0; t < f.root.size(); ++t) {
+    std::vector<std::uint32_t> depths;
+    leaf_depths(f, f.root[t], 0, depths);
+    const std::uint32_t deepest = *std::max_element(depths.begin(), depths.end());
+    EXPECT_EQ(f.depth[t], deepest);
+    EXPECT_LE(deepest, model.opts().max_depth);
+    shallow = shallow || *std::min_element(depths.begin(), depths.end()) <
+                             deepest;
+    steps += deepest;
+  }
+  EXPECT_TRUE(shallow);
+  EXPECT_EQ(model.steps_per_candidate(), steps);
+  expect_batch_matches(model);
+}
+
+TEST(SurrogateModel, SingleLeafForestTakesNoSteps) {
+  // Constant targets: no split reduces the error, every tree is its root.
+  std::vector<feature_vector> features;
+  std::vector<double> targets;
+  for (int i = 0; i < 40; ++i) {
+    features.push_back({static_cast<double>(i), 1.0, 2.0});
+    targets.push_back(3.5);
+  }
+  surrogate_model model;
+  model.fit(features, targets, 1);
+  EXPECT_EQ(model.steps_per_candidate(), 0u);
+  EXPECT_EQ(model.forest().value.size(), model.opts().trees);
+  expect_batch_matches(model);
+  EXPECT_EQ(model.predict({0.0, 0.0, 0.0}).mean, 3.5);
+}
+
+TEST(SurrogateModel, ZeroWidthFeaturesFitSingleLeafTrees) {
+  // A space without parameters encodes every configuration as an empty
+  // feature vector: the forest predicts the mean and takes no steps.
+  surrogate_model model;
+  model.fit(std::vector<feature_vector>(8), {1, 2, 3, 4, 5, 6, 7, 8}, 1);
+  EXPECT_EQ(model.steps_per_candidate(), 0u);
+  const auto p = model.predict({});
+  EXPECT_GT(p.mean, 1.0);
+  EXPECT_LT(p.mean, 8.0);
+}
+
+TEST(SurrogateTrainer, ScoreBatchEqualsPerCandidateScore) {
+  for (const bool with_invalid : {false, true}) {
+    surrogate_trainer::options opts;
+    opts.min_train = 8;
+    opts.refit_interval = 8;
+    surrogate_trainer trainer(opts, 21);
+    for (int i = 0; i < 120; ++i) {
+      const double a = static_cast<double>((i * 7) % 50) - 5.0;
+      const double b = static_cast<double>((i * 3) % 17);
+      const double c = static_cast<double>(i % 9) * 0.5;
+      const bool invalid = with_invalid && (i * 5) % 11 == 2;
+      trainer.add({a, b, c}, invalid ? kInf : (a - 20) * (a - 20) + b + c,
+                  invalid);
+    }
+    ASSERT_EQ(trainer.invalid_samples() > 0, with_invalid);
+    const std::vector<double> probe = candidate_rows(1);
+    EXPECT_THROW(trainer.score_batch(probe.data(), 1, nullptr),
+                 std::logic_error);
+    trainer.fit_pending();
+    for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 255u, 256u, 257u}) {
+      const std::vector<double> rows = candidate_rows(n);
+      std::vector<double> scores(n);
+      trainer.score_batch(rows.data(), n, scores.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        const double* row = rows.data() + 3 * i;
+        const double single = trainer.score(feature_vector(row, row + 3));
+        ASSERT_EQ(bits(scores[i]), bits(single))
+            << "invalid head " << with_invalid << ", n " << n << ", row " << i;
+      }
+    }
+  }
 }
 
 TEST(SurrogateTrainer, InvalidCostsNeverReachTheRegression) {
@@ -350,6 +527,79 @@ TEST(SurrogateWork, Width1ProposalMaterializesOnlyWhatItWalks) {
   // Materializing is the exception once the model scores: far fewer
   // configurations than scored candidates.
   EXPECT_LT(technique.materialized() * 20, technique.scored());
+}
+
+/// A three-level constrained group (A, B dividing A, C dividing B) beside
+/// an unconstrained one, so decoding scans siblings; a failure stripe gives
+/// the classifier head work.
+atf::tuner make_chain_tuner(atf::space_storage_backend backend) {
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, 48));
+  auto b = atf::tp("B", atf::interval<std::size_t>(1, 48), atf::divides(a));
+  auto c = atf::tp("C", atf::interval<std::size_t>(1, 16), atf::divides(b));
+  auto d = atf::tp("D", atf::interval<int>(0, 9));
+  atf::tuner t;
+  t.tuning_parameters(atf::G(a, b, c), atf::G(d));
+  atf::space_storage_policy storage;
+  storage.backend = backend;
+  storage.chunk_cache_bytes = 1 << 12;  // lazy: evict constantly
+  t.space_storage(storage);
+  return t;
+}
+
+double chain_cost(const atf::configuration& config) {
+  const std::size_t a = config["A"];
+  const std::size_t b = config["B"];
+  const std::size_t c = config["C"];
+  const int d = config["D"];
+  if ((a + c) % 9 == 4) {
+    return kInf;
+  }
+  const double x = static_cast<double>(a) - 30.0;
+  return x * x + 40.0 / static_cast<double>(b) + c + (d - 6) * (d - 6);
+}
+
+struct work_counters {
+  std::uint64_t scored = 0;
+  std::uint64_t tree_steps = 0;
+  std::uint64_t sibling_steps = 0;
+  std::uint64_t materialized = 0;
+  std::uint64_t stream = 0;  ///< fold of the proposed hashes
+
+  bool operator==(const work_counters&) const = default;
+};
+
+work_counters run_chain(atf::space_storage_backend backend) {
+  auto t = make_chain_tuner(backend);
+  surrogate_search technique(23);
+  technique.initialize(t.space());
+  work_counters out;
+  for (int i = 0; i < 120; ++i) {
+    const atf::configuration config = technique.get_next_config();
+    out.stream = (out.stream ^ config.hash()) * 0x9e3779b97f4a7c15ull;
+    technique.report_cost(chain_cost(config));
+  }
+  out.scored = technique.scored();
+  out.tree_steps = technique.tree_steps();
+  out.sibling_steps = technique.decode_sibling_steps();
+  out.materialized = technique.materialized();
+  return out;
+}
+
+TEST(SurrogateWork, TreeAndDecodeStepsArePinned) {
+  const work_counters dense = run_chain(atf::space_storage_backend::dense);
+  // Pinned for seed 23: a change to the forest walk's length, the pool size
+  // or the decode walk moves these.
+  EXPECT_EQ(dense.scored, 26112u);  // 102 scored proposals x 256
+  EXPECT_EQ(dense.tree_steps, 5712896u);
+  EXPECT_EQ(dense.sibling_steps, 85448u);
+  EXPECT_EQ(dense.materialized, 137u);
+  // The proposal stream the per-candidate scoring loop produced.
+  EXPECT_EQ(dense.stream, 0x16de3410e227bc6cull);
+  // The decode walk's work is a property of the tree, not of the backend.
+  for (const auto backend : {atf::space_storage_backend::packed,
+                             atf::space_storage_backend::lazy}) {
+    EXPECT_EQ(run_chain(backend), dense) << atf::to_string(backend);
+  }
 }
 
 class SurrogateWarmStartTest : public ::testing::Test {

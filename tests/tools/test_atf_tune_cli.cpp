@@ -210,11 +210,16 @@ TEST_F(AtfTuneCliTest, GarbageNumericFlagsAreRejected) {
 
 TEST_F(AtfTuneCliTest, ValidNumericFlagFormsAreAccepted) {
   const std::string params = " --param 'X=interval:10:14' --param 'Y=set:0'";
-  // Fractional and scientific seconds, zero evaluations-free run.
-  EXPECT_EQ(
-      run_command(base_command() + params + " --seconds 30.5").exit_code, 0);
-  EXPECT_EQ(
-      run_command(base_command() + params + " --seconds 1e2").exit_code, 0);
+  // Fractional and scientific seconds. The abort conditions are OR-ed, so
+  // --evaluations ends the tune early; a mis-parsed --seconds still exits 1.
+  EXPECT_EQ(run_command(base_command() + params +
+                        " --seconds 30.5 --evaluations 20")
+                .exit_code,
+            0);
+  EXPECT_EQ(run_command(base_command() + params +
+                        " --seconds 1e2 --evaluations 20")
+                .exit_code,
+            0);
   EXPECT_EQ(run_command(base_command() + params +
                         " --evaluations 100 --seed 42")
                 .exit_code,
