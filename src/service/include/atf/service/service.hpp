@@ -3,12 +3,15 @@
 //
 // State model. All answers come from an immutable *snapshot*: a map from
 // service key to that key's result_store (rebuilt from its crash-safe
-// journal) plus the precomputed best record. The snapshot lives behind
-// std::atomic<std::shared_ptr>, so the request hot path — parse, snapshot
-// load, map lookup, serialize — never touches a mutex: a `get` that hits
-// is answered entirely from the snapshot while the background refiner
-// builds the next one. Mutations (refine, merge, compact, load) serialize
-// on a writer mutex and publish by swapping the pointer.
+// journal), the precomputed best record and the serialized hit reply
+// built from it. The snapshot lives behind a shared_ptr, so the request
+// hot path — parse, snapshot pointer copy, map lookup, copy of the
+// published reply bytes — serializes nothing and never waits on a
+// refinement: a `get` that hits is answered entirely from the snapshot
+// while the background refiner builds the next one. Mutations (refine,
+// merge, compact, load) serialize on a writer mutex, build each changed
+// key's reply there, and publish by swapping the pointer (under a mutex
+// held only for the swap or a reader's copy).
 //
 // Miss path. A `get` for an unknown (or not-yet-measured) key is enqueued
 // on a bounded dedup queue — the one refinement queue, which
@@ -98,6 +101,10 @@ public:
     std::string journal_path;
     session::result_store store;
     std::optional<session::tuning_record> best;  ///< store.best()
+    /// The exact `get` reply line for a hit, serialized once when the
+    /// state is built (a pure function of key, best and store size).
+    /// Empty while `best` is empty: such a key still answers as a miss.
+    std::string hit_reply;
   };
 
   struct snapshot {
@@ -119,7 +126,8 @@ public:
   std::size_t load();
 
   /// Handles one request line, returns one reply line (no newline). Thread
-  /// safe; the hit path is lock-free (snapshot load + counters only).
+  /// safe; a hit copies the snapshot pointer and the published reply and
+  /// bumps counters, nothing more.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
   /// Starts the background refiner thread (idempotent).
@@ -152,7 +160,8 @@ public:
 
   [[nodiscard]] service_stats stats() const;
   [[nodiscard]] std::shared_ptr<const snapshot> current_snapshot() const {
-    return snapshot_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    return snapshot_;
   }
   [[nodiscard]] std::string journal_path(const service_key& key) const;
   [[nodiscard]] const service_options& options() const noexcept {
@@ -161,6 +170,10 @@ public:
 
 private:
   [[nodiscard]] std::string handle_get(const service_key& key);
+  /// Reads `key`'s journal into a complete state, hit reply included.
+  /// Writer side only: load() and publish_key().
+  [[nodiscard]] static std::shared_ptr<const key_state> build_state(
+      const service_key& key, std::string path);
   /// Pops one key; nullopt when empty.
   std::optional<service_key> pop();
   /// Runs refine_fn for one key and publishes its new state.
@@ -168,12 +181,20 @@ private:
   /// Re-reads one key's journal and publishes a snapshot containing it.
   void publish_key(const service_key& key);
   void refiner_loop();
+  /// Makes `next` the snapshot every later request reads.
+  void publish(std::shared_ptr<const snapshot> next);
 
   service_options opts_;
   refine_fn refine_;
   validate_fn validate_;
 
-  std::atomic<std::shared_ptr<const snapshot>> snapshot_;
+  // The published snapshot. snapshot_mutex_ is held only to copy or swap
+  // the pointer, never while a snapshot is read or built. (libstdc++'s
+  // std::atomic<std::shared_ptr> releases the spin lock of its load() with
+  // relaxed order, so a load races the next store under the memory model,
+  // and ThreadSanitizer reports it.)
+  std::shared_ptr<const snapshot> snapshot_;
+  mutable std::mutex snapshot_mutex_;
   mutable std::mutex writer_mutex_;  ///< serializes snapshot mutations
 
   mutable std::mutex queue_mutex_;

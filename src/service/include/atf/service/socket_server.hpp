@@ -5,13 +5,13 @@
 //
 // Threading: one thread runs a poll() loop over the listener, a self-pipe
 // and every live connection, all non-blocking. Each complete line is
-// answered inline on that thread, so the handler must not block (the
-// service's hit path is lock-free; a miss only takes the queue mutex). A
-// connection with unsent reply bytes is not read until they drain
-// (backpressure), so a client that pipelines without reading cannot grow
-// the daemon's memory. The limits below bound what one client can hold.
-// stop() is the SIGTERM drain: every complete line already received is
-// answered with its whole reply before the loop exits.
+// answered inline on that thread, so the handler must not block (a
+// service hit holds a mutex only to copy the snapshot pointer; a miss only
+// takes the queue mutex). A connection with unsent reply bytes is not read
+// until they drain (backpressure), so a client that pipelines without
+// reading cannot grow the daemon's memory. The limits below bound what one
+// client can hold. stop() is the SIGTERM drain: every complete line
+// already received is answered with its whole reply before the loop exits.
 #pragma once
 
 #include <atomic>

@@ -29,6 +29,29 @@ std::string hash_hex(std::uint64_t hash) {
   return text;
 }
 
+/// The `get` reply for a key whose best record exists. Field order is the
+/// wire format (protocol.hpp); the miss reply in handle_get shares the
+/// ok/op/key/hit prefix.
+std::string serialize_hit_reply(const tuning_service::key_state& state) {
+  const session::tuning_record& best = *state.best;
+  json::value out{json::object{}};
+  out.set("ok", true);
+  out.set("op", "get");
+  out.set("key", state.key.to_string());
+  out.set("hit", true);
+  out.set("hash", hash_hex(best.config_hash));
+  out.set("scalar", best.scalar);
+  json::value config{json::object{}};
+  for (const auto& [name, value] : best.values) {
+    config.set(name, atf::to_string(value));
+  }
+  out.set("config", std::move(config));
+  // Distinct measured configurations — invariant under journal
+  // compaction, so kill/compact/restart replies stay byte-identical.
+  out.set("configs", std::uint64_t{state.store.size()});
+  return json::serialize(out);
+}
+
 }  // namespace
 
 tuning_service::tuning_service(service_options opts, refine_fn refine,
@@ -39,7 +62,7 @@ tuning_service::tuning_service(service_options opts, refine_fn refine,
   if (opts_.journal_dir.empty()) {
     throw service_error("tuning_service: journal_dir must be set");
   }
-  snapshot_.store(std::make_shared<const snapshot>());
+  publish(std::make_shared<const snapshot>());
 }
 
 tuning_service::~tuning_service() { stop(); }
@@ -48,10 +71,24 @@ std::string tuning_service::journal_path(const service_key& key) const {
   return opts_.journal_dir + "/" + key.file_stem() + ".jsonl";
 }
 
+std::shared_ptr<const tuning_service::key_state> tuning_service::build_state(
+    const service_key& key, std::string path) {
+  auto state = std::make_shared<key_state>();
+  state->key = key;
+  state->journal_path = std::move(path);
+  state->store = session::result_store::from_report(
+      session::read_journal(state->journal_path));
+  state->best = state->store.best();
+  if (state->best.has_value()) {
+    state->hit_reply = serialize_hit_reply(*state);
+  }
+  return state;
+}
+
 std::size_t tuning_service::load() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   auto next = std::make_shared<snapshot>();
-  next->version = snapshot_.load()->version + 1;
+  next->version = current_snapshot()->version + 1;
 
   std::error_code ec;
   for (const auto& entry :
@@ -66,21 +103,15 @@ std::size_t tuning_service::load() {
                        entry.path().string(), "'");
       continue;
     }
-    auto state = std::make_shared<key_state>();
-    state->key = *key;
-    state->journal_path = entry.path().string();
-    state->store = session::result_store::from_report(
-        session::read_journal(state->journal_path));
-    state->best = state->store.best();
-    next->keys.emplace(key->to_string(), std::move(state));
+    next->keys.emplace(key->to_string(),
+                       build_state(*key, entry.path().string()));
   }
   if (ec) {
     throw service_error("tuning_service: cannot scan journal directory '" +
                         opts_.journal_dir + "': " + ec.message());
   }
   const std::size_t loaded = next->keys.size();
-  snapshot_.store(std::shared_ptr<const snapshot>(std::move(next)),
-                  std::memory_order_release);
+  publish(std::move(next));
   return loaded;
 }
 
@@ -129,33 +160,21 @@ std::string tuning_service::handle_line(const std::string& line) {
 }
 
 std::string tuning_service::handle_get(const service_key& key) {
-  json::value out{json::object{}};
-  out.set("ok", true);
-  out.set("op", "get");
-  out.set("key", key.to_string());
-
-  // The hot path: one atomic snapshot load, one map lookup — no mutex.
-  const std::shared_ptr<const snapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
-  const auto it = snap->keys.find(key.to_string());
+  const std::string name = key.to_string();
+  // The hot path: one snapshot pointer copy, one map lookup, one copy of
+  // the reply bytes published with the key's state — no JSON.
+  const std::shared_ptr<const snapshot> snap = current_snapshot();
+  const auto it = snap->keys.find(name);
   if (it != snap->keys.end() && it->second->best.has_value()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
-    const session::tuning_record& best = *it->second->best;
-    out.set("hit", true);
-    out.set("hash", hash_hex(best.config_hash));
-    out.set("scalar", best.scalar);
-    json::value config{json::object{}};
-    for (const auto& [name, value] : best.values) {
-      config.set(name, atf::to_string(value));
-    }
-    out.set("config", std::move(config));
-    // Distinct measured configurations — invariant under journal
-    // compaction, so kill/compact/restart replies stay byte-identical.
-    out.set("configs", std::uint64_t{it->second->store.size()});
-    return json::serialize(out);
+    return it->second->hit_reply;
   }
 
   misses_.fetch_add(1, std::memory_order_relaxed);
+  json::value out{json::object{}};
+  out.set("ok", true);
+  out.set("op", "get");
+  out.set("key", name);
   out.set("hit", false);
   if (validate_) {
     const std::string reason = validate_(key);
@@ -204,19 +223,19 @@ std::optional<service_key> tuning_service::pop() {
 
 void tuning_service::publish_key(const service_key& key) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
-  auto state = std::make_shared<key_state>();
-  state->key = key;
-  state->journal_path = journal_path(key);
-  state->store = session::result_store::from_report(
-      session::read_journal(state->journal_path));
-  state->best = state->store.best();
+  std::shared_ptr<const key_state> state = build_state(key, journal_path(key));
 
-  const std::shared_ptr<const snapshot> current = snapshot_.load();
+  const std::shared_ptr<const snapshot> current = current_snapshot();
   auto next = std::make_shared<snapshot>(*current);
   next->version = current->version + 1;
   next->keys[key.to_string()] = std::move(state);
-  snapshot_.store(std::shared_ptr<const snapshot>(std::move(next)),
-                  std::memory_order_release);
+  publish(std::move(next));
+}
+
+void tuning_service::publish(std::shared_ptr<const snapshot> next) {
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  snapshot_.swap(next);
+  // `next` now holds the old snapshot; it is released after the unlock.
 }
 
 void tuning_service::refine_one(const service_key& key) {
@@ -327,7 +346,7 @@ session::result_store::merge_stats tuning_service::merge_journal(
 }
 
 std::size_t tuning_service::compact_all() {
-  const std::shared_ptr<const snapshot> snap = snapshot_.load();
+  const std::shared_ptr<const snapshot> snap = current_snapshot();
   std::size_t compacted = 0;
   for (const auto& [name, state] : snap->keys) {
     try {
@@ -357,8 +376,7 @@ service_stats tuning_service::stats() const {
   s.malformed = malformed_.load(std::memory_order_relaxed);
   s.refines = refines_.load(std::memory_order_relaxed);
   s.failed_refines = failed_refines_.load(std::memory_order_relaxed);
-  const std::shared_ptr<const snapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
+  const std::shared_ptr<const snapshot> snap = current_snapshot();
   s.keys = snap->keys.size();
   for (const auto& [name, state] : snap->keys) {
     s.records += state->store.records().size();

@@ -265,6 +265,31 @@ TEST_F(ServedE2eTest, UnknownTechniqueExitsNamingTheValidSet) {
       << log;
 }
 
+// A negative count behind leading whitespace (" -1") is refused like "-1":
+// strtoull would skip the space and wrap the value to 2^64-1. The wait is
+// bounded because a daemon that accepts the flag starts serving instead.
+TEST_F(ServedE2eTest, NegativeCountWithLeadingSpaceExitsNamingTheFlag) {
+  const pid_t pid = spawn_daemon({"--max-pending", " -1"});
+  ASSERT_GT(pid, 0);
+  int status = 0;
+  pid_t waited = 0;
+  for (int i = 0; i < 500 && waited == 0; ++i) {
+    waited = waitpid(pid, &status, WNOHANG);
+    if (waited == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }
+  if (waited == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+    FAIL() << "daemon accepted --max-pending ' -1' and kept running";
+  }
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_NE(WEXITSTATUS(status), 0);
+  const std::string log = slurp(dir_ + "/daemon.log");
+  EXPECT_NE(log.find("--max-pending"), std::string::npos) << log;
+}
+
 TEST_F(ServedE2eTest, ExhaustiveTechniqueStartsAndServes) {
   start_daemon({"--technique", "exhaustive"});
   const std::string hit = wait_for_hit(xgemm_key("8x8x8"));

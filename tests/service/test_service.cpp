@@ -4,9 +4,12 @@
 // daemon does, minus the socket.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -54,6 +57,30 @@ std::string get_line(const service_key& key) {
   r.operation = atf::service::request::op::get;
   r.key = key;
   return atf::service::serialize_request(r);
+}
+
+/// The reference `get` hit reply, assembled field by field from a key's
+/// published state in the wire order of protocol.hpp. The service builds
+/// its reply once per publish; every hit must return exactly these bytes.
+std::string reference_hit_reply(const tuning_service::key_state& state) {
+  const tuning_record& best = *state.best;
+  char hash[32];
+  std::snprintf(hash, sizeof(hash), "%016llx",
+                static_cast<unsigned long long>(best.config_hash));
+  json::value out{json::object{}};
+  out.set("ok", true);
+  out.set("op", "get");
+  out.set("key", state.key.to_string());
+  out.set("hit", true);
+  out.set("hash", std::string(hash));
+  out.set("scalar", best.scalar);
+  json::value config{json::object{}};
+  for (const auto& [name, value] : best.values) {
+    config.set(name, atf::to_string(value));
+  }
+  out.set("config", std::move(config));
+  out.set("configs", std::uint64_t{state.store.size()});
+  return json::serialize(out);
 }
 
 class ServiceTest : public ::testing::Test {
@@ -239,6 +266,163 @@ TEST_F(ServiceTest, CompactionShrinksJournalsWithoutChangingAnswers) {
   tuning_service after(options(), appending_refiner());
   after.load();
   EXPECT_EQ(after.handle_line(get_line(key)), before);
+}
+
+// Every published hit reply equals the reference assembly from its
+// key_state, and a hitting `get` returns those bytes, after every way a
+// state is published: load, refinement, compaction, merge and a restart.
+// The request counters count exactly as they did when each hit serialized
+// its own reply.
+TEST_F(ServiceTest, PublishedHitRepliesAreByteIdenticalToTheFieldByFieldReply) {
+  const service_key first = make_key("8x8x8");
+  const service_key second = make_key("16x16x16");
+  const service_key unmeasured = make_key("1x1x1");
+  // A key whose journal holds nothing: loaded, but still a miss. The gate
+  // keeps it out of the refinement queue so it stays unmeasured.
+  std::ofstream(dir_ + "/" + unmeasured.file_stem() + ".jsonl").close();
+  auto validate = [&](const service_key& key) -> std::string {
+    return key == unmeasured ? "not refined in this test" : "";
+  };
+
+  std::uint64_t requests = 0, hits = 0, misses = 0;
+  auto check = [&](tuning_service& service, const char* stage) {
+    SCOPED_TRACE(stage);
+    const auto snap = service.current_snapshot();
+    for (const auto& [name, state] : snap->keys) {
+      SCOPED_TRACE(name);
+      ++requests;
+      const std::string reply = service.handle_line(get_line(state->key));
+      if (!state->best.has_value()) {
+        ++misses;
+        EXPECT_TRUE(state->hit_reply.empty());
+        EXPECT_FALSE(atf::service::parse_get_reply(reply).hit) << reply;
+        continue;
+      }
+      ++hits;
+      EXPECT_EQ(state->hit_reply, reference_hit_reply(*state));
+      EXPECT_EQ(reply, state->hit_reply);
+    }
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.requests, requests);
+    EXPECT_EQ(stats.hits, hits);
+    EXPECT_EQ(stats.misses, misses);
+  };
+
+  {
+    tuning_service service(options(), appending_refiner(), validate);
+    EXPECT_EQ(service.load(), 1u);
+    check(service, "load");
+    for (const service_key& key : {first, second}) {
+      ++requests;
+      ++misses;
+      EXPECT_FALSE(atf::service::parse_get_reply(
+                       service.handle_line(get_line(key)))
+                       .hit);
+    }
+    EXPECT_EQ(service.refine_pending(10), 2u);
+    check(service, "refine_pending");
+  }
+
+  // Superseding duplicates, then compaction of the reloaded journals.
+  {
+    journal_writer writer(dir_ + "/" + first.file_stem() + ".jsonl");
+    for (int x = 1; x <= 3; ++x) {
+      auto record = make_record(x, 100.0 - x);
+      record.timestamp_ms = 5000 + x;
+      writer.append(record);
+    }
+  }
+  requests = hits = misses = 0;
+  tuning_service service(options(), appending_refiner(), validate);
+  EXPECT_EQ(service.load(), 3u);
+  check(service, "reload");
+  EXPECT_EQ(service.compact_all(), 3u);
+  check(service, "compact_all");
+
+  // A foreign journal with a new best for the second key.
+  const std::string foreign = dir_ + "/foreign.jsonl.in";
+  {
+    journal_writer writer(foreign);
+    auto better = make_record(2, 7.5);
+    better.timestamp_ms = 9999;
+    writer.append(better);
+  }
+  const auto merged = service.merge_journal(second, foreign);
+  EXPECT_EQ(merged.superseded, 1u);
+  check(service, "merge_journal");
+  EXPECT_EQ(atf::service::parse_get_reply(
+                service.current_snapshot()->keys.at(second.to_string())
+                    ->hit_reply)
+                .scalar,
+            7.5);
+
+  requests = hits = misses = 0;
+  tuning_service reborn(options(), appending_refiner(), validate);
+  EXPECT_EQ(reborn.load(), 3u);
+  check(reborn, "restart");
+}
+
+// Readers hammer one key while the background refiner republishes it: every
+// reply is byte-equal to one of the states the refiner published, and the
+// counters see every read as a hit.
+TEST_F(ServiceTest, ConcurrentHitsSeeOnlyPublishedReplies) {
+  const service_key key = make_key("32x32x32");
+  const std::string line = get_line(key);
+  tuning_service service(options(), appending_refiner(/*per_pass=*/1));
+  service.load();
+  ASSERT_TRUE(service.enqueue(key).first);
+  ASSERT_EQ(service.refine_pending(1), 1u);
+
+  auto published_reply = [&] {
+    return service.current_snapshot()->keys.at(key.to_string())->hit_reply;
+  };
+  std::set<std::string> published = {published_reply()};
+  service.start();
+
+  constexpr int readers = 4;
+  std::atomic<bool> done{false};
+  std::vector<std::set<std::string>> seen(readers);
+  std::vector<std::uint64_t> reads(readers, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < readers; ++t) {
+    threads.emplace_back([&, t] {
+      while (!done.load(std::memory_order_acquire)) {
+        seen[t].insert(service.handle_line(line));
+        ++reads[t];
+      }
+    });
+  }
+
+  // One enqueue, one publish: wait for each before the next, so every
+  // published state is observed here.
+  for (int pass = 0; pass < 20; ++pass) {
+    const std::uint64_t version = service.current_snapshot()->version;
+    ASSERT_TRUE(service.enqueue(key).first);
+    for (int i = 0; i < 2000 && service.current_snapshot()->version == version;
+         ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(service.current_snapshot()->version, version + 1);
+    published.insert(published_reply());
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  service.stop();
+
+  EXPECT_EQ(published.size(), 21u);  // every pass changed the best record
+  std::uint64_t total = 0;
+  for (int t = 0; t < readers; ++t) {
+    total += reads[t];
+    for (const std::string& reply : seen[t]) {
+      EXPECT_EQ(published.count(reply), 1u) << reply;
+    }
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.requests, total);
+  EXPECT_EQ(stats.hits, total);
+  EXPECT_EQ(stats.misses, 0u);
 }
 
 TEST_F(ServiceTest, MergeJournalFoldsForeignRecordsDeterministically) {

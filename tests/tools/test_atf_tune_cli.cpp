@@ -201,6 +201,10 @@ TEST_F(AtfTuneCliTest, GarbageNumericFlagsAreRejected) {
       " --seconds 1.5x",       " --evaluations 12abc", " --evaluations ''",
       " --evaluations -3",     " --evaluations 1.5",  " --seed xyz",
       " --seed 0x10",          " --chunk-cache-mb -8", " --chunk-cache-mb 2q",
+      // strtoull skips leading whitespace before the sign and wraps the
+      // negative value to 2^64-3 / 2^64-1; the first character must be a
+      // digit. --seconds bounds the tune should the count be accepted.
+      " --evaluations ' -3' --seconds 2", " --seed ' -1'",
   };
   for (const char* flag : bad) {
     EXPECT_EQ(run_command(base_command() + params + flag).exit_code, 1)

@@ -8,10 +8,11 @@
 //
 // Answers "best configuration for (kernel, device, size)" over a Unix
 // domain socket: one JSON request line in, one JSON reply line out (see
-// atf/service/protocol.hpp). Hits are served lock-free from an immutable
-// snapshot rebuilt from per-key crash-safe journals; misses go on a
-// bounded dedup queue drained by a background thread that runs a
-// journaled, warm-started tune on the simulated device. Every kernel-registry
+// atf/service/protocol.hpp). Hits are answered with reply bytes built
+// when an immutable snapshot is published; the snapshot is rebuilt from
+// per-key crash-safe journals. Misses go on a bounded dedup queue drained
+// by a background thread that runs a journaled, warm-started tune on the
+// simulated device. Every kernel-registry
 // family (xgemm, saxpy, reduce, conv2d, stencil2d, spmv, batched_gemm, ...)
 // is refined through atf::kernels::registry::tune with the same progressive
 // budget and per-key seeds. Every answer the daemon ever gives survives
@@ -31,6 +32,8 @@
 //
 // SIGTERM/SIGINT drain: stop accepting, finish in-flight replies and the
 // in-flight refinement (journal appends are never torn), then exit 0.
+#include <cctype>
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -84,7 +87,10 @@ bool parse_u64_flag(const char* flag, const char* text, std::uint64_t& out) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*text == '\0' || *text == '-' || *end != '\0' || errno == ERANGE) {
+  // strtoull skips leading whitespace and wraps a '-' after it, so the
+  // first character itself must be a digit.
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE) {
     std::fprintf(stderr,
                  "atf_served: %s expects a non-negative integer, got '%s'\n",
                  flag, text);

@@ -38,6 +38,8 @@
 // line, exactly like ATF programs. Prints the best configuration as
 // NAME=VALUE pairs on stdout and exits 0; exits 1 on usage errors, 2 when
 // no valid configuration was found.
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,7 +68,10 @@ bool parse_u64_flag(const char* flag, const char* text, std::uint64_t& out) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*text == '\0' || *text == '-' || *end != '\0' || errno == ERANGE) {
+  // strtoull skips leading whitespace and wraps a '-' after it, so the
+  // first character itself must be a digit.
+  if (!std::isdigit(static_cast<unsigned char>(*text)) || *end != '\0' ||
+      errno == ERANGE) {
     std::fprintf(stderr,
                  "atf_tune: %s expects a non-negative integer, got '%s'\n",
                  flag, text);
