@@ -120,8 +120,12 @@ int main(int argc, char** argv) {
   const auto reference =
       atf::search_space::generate(groups, atf::generation_mode::sequential);
   const double t_seq = seq_timer.elapsed_seconds();
-  std::printf("sequential: %.3f s, %llu configurations\n\n", t_seq,
-              static_cast<unsigned long long>(reference.size()));
+  std::printf("sequential: %.3f s, %llu configurations, %llu nodes in "
+              "%.2f MB\n\n",
+              t_seq, static_cast<unsigned long long>(reference.size()),
+              static_cast<unsigned long long>(reference.node_count()),
+              static_cast<double>(reference.memory_bytes()) /
+                  (1024.0 * 1024.0));
 
   // The fixed baseline keeps the pull-scheduled queue but never re-splits —
   // the pre-adaptive behaviour of a static over-partition.
@@ -163,26 +167,5 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("\n=== Storage backends: memory per representation ===\n");
-  bool backends_identical = true;
-  for (const auto backend : {atf::space_storage_backend::dense,
-                             atf::space_storage_backend::packed,
-                             atf::space_storage_backend::lazy}) {
-    atf::space_storage_policy storage;
-    storage.backend = backend;
-    const auto space = atf::search_space::generate(
-        groups, atf::generation_mode::sequential, 0, {}, storage);
-    backends_identical =
-        backends_identical && spaces_identical(reference, space);
-    std::printf("%-6s  %10.2f MB   (%llu nodes)\n", atf::to_string(backend),
-                static_cast<double>(space.memory_bytes()) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(space.node_count()));
-  }
-  std::printf("backends bit-identical: %s\n",
-              backends_identical ? "yes" : "NO");
-  if (!backends_identical) {
-    std::printf("ERROR: a storage backend diverged from the dense space\n");
-    return 1;
-  }
   return 0;
 }

@@ -175,26 +175,26 @@ int main() {
   std::printf("(*) extrapolated from the enumeration rate at the 3 s budget "
               "(the paper aborted the real CLTune after 3 HOURS at N=32)\n\n");
 
-  std::printf("=== Storage backends: memory per representation ===\n");
+  std::printf("=== Space storage: shared-suffix DAG vs plain CSR ===\n");
   {
     const xg::problem is4 = xg::caffe_input_size(4);
     auto setup = xg::make_tuning_parameters(is4, xg::size_mode::general);
-    const auto group = setup.group();
-    const auto mb = [](std::size_t bytes) {
+    const auto mb = [](std::uint64_t bytes) {
       return static_cast<double>(bytes) / (1024.0 * 1024.0);
     };
-    for (const auto backend : {atf::space_storage_backend::dense,
-                               atf::space_storage_backend::packed,
-                               atf::space_storage_backend::lazy}) {
-      atf::space_storage_policy storage;
-      storage.backend = backend;
-      atf::common::stopwatch timer;
-      const auto tree = atf::space_tree::generate(group, storage);
-      std::printf("IS4 %-6s  %10.2f MB   (%llu nodes, generated in %.3f s)\n",
-                  atf::to_string(backend), mb(tree.memory_bytes()),
-                  static_cast<unsigned long long>(tree.node_count()),
-                  timer.elapsed_seconds());
+    atf::common::stopwatch timer;
+    const auto tree = atf::space_tree::generate(setup.group());
+    const double seconds = timer.elapsed_seconds();
+    std::uint64_t csr_bytes = 0;
+    for (const auto& chunk : tree.stats().per_chunk) {
+      csr_bytes += chunk.bytes;
     }
+    std::printf("IS4  DAG %.2f MB, plain CSR would hold %.2f MB   (%llu "
+                "nodes, %llu stored, generated in %.3f s)\n",
+                mb(tree.memory_bytes()), mb(csr_bytes),
+                static_cast<unsigned long long>(tree.node_count()),
+                static_cast<unsigned long long>(tree.stats().stored_nodes),
+                seconds);
   }
   std::putchar('\n');
 

@@ -1,13 +1,13 @@
-// Generation time and memory of one storage backend on one space — the
+// Generation time and memory of the space storage on one space — the
 // numbers behind EXPERIMENTS.md's storage tables.
 //
-//   storage_footprint [dense|packed|lazy] [SPACE]
+//   storage_footprint [SPACE]
 //
 // SPACE is one of
 //   MxNxK        XgemmDirect on the K20m limits (default 128x128x256);
 //   FAMILY:SIZE  a registry family's groups on the K20m profile, e.g.
 //                reduce:65536 or conv2d:64x64x5x5;
-//   chain        the skewed divides-chain of bench/lazy_tuning_smoke
+//   chain        the skewed divides-chain of bench/chain_tuning_smoke
 //                (1.4e8 configurations);
 //   adversarial  a group in which every constraint reads the whole prefix,
 //                so no two subtrees can be shared.
@@ -17,7 +17,7 @@
 // the node entries the storage holds, the candidate values generation
 // visited (logical) and the constraint calls it made, the generation time,
 // the storage's memory_bytes(), the mean time of a config_at(random index)
-// read and this process's peak RSS. Run one process per backend: peak RSS
+// read and this process's peak RSS. Run one process per space: peak RSS
 // is per process.
 #include <sys/resource.h>
 
@@ -38,7 +38,7 @@ namespace reg = atf::kernels::registry;
 
 namespace {
 
-/// lazy_tuning_smoke's space: wide unconstrained A and D around the skewed
+/// chain_tuning_smoke's space: wide unconstrained A and D around the skewed
 /// divides-chain B | 1024, C | 1024 / B.
 std::vector<atf::tp_group> chain_groups() {
   auto a = atf::tp("A", atf::interval<std::size_t>(1, 1024));
@@ -75,18 +75,7 @@ std::vector<atf::tp_group> adversarial_groups() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string backend = argc > 1 ? argv[1] : "dense";
-  const std::string space_name = argc > 2 ? argv[2] : "128x128x256";
-  atf::space_storage_policy storage;
-  if (backend == "packed") {
-    storage.backend = atf::space_storage_backend::packed;
-  } else if (backend == "lazy") {
-    storage.backend = atf::space_storage_backend::lazy;
-  } else if (backend != "dense") {
-    std::fprintf(stderr, "storage_footprint: unknown backend '%s'\n",
-                 backend.c_str());
-    return 1;
-  }
+  const std::string space_name = argc > 1 ? argv[1] : "128x128x256";
 
   std::vector<atf::tp_group> groups;
   xg::problem prob{};
@@ -120,8 +109,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const auto space = atf::search_space::generate(
-      groups, atf::generation_mode::intra_group, 0, {}, storage);
+  const auto space =
+      atf::search_space::generate(groups, atf::generation_mode::intra_group);
   const std::size_t bytes = space.memory_bytes();
   std::uint64_t stored = 0;
   std::uint64_t visited = 0;
@@ -132,10 +121,7 @@ int main(int argc, char** argv) {
     checked += space.group(g).stats().checked_values;
   }
 
-  // Lazy random reads regenerate a chunk almost every time on large
-  // spaces, so they get far fewer reads.
-  const int reads =
-      storage.backend == atf::space_storage_backend::lazy ? 200 : 100000;
+  const int reads = 100000;
   atf::common::xoshiro256 rng(1);
   std::uint64_t checksum = 0;
   atf::common::stopwatch timer;
@@ -146,11 +132,11 @@ int main(int argc, char** argv) {
 
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
-  std::printf("%s %s: %llu configurations, %llu nodes, %llu stored, %llu "
+  std::printf("%s: %llu configurations, %llu nodes, %llu stored, %llu "
               "visited, %llu checked, generated in %.1f ms, memory_bytes "
               "%.1f kB, config_at %.0f ns, peak RSS %.1f MB (checksum "
               "%llu)\n",
-              backend.c_str(), space_name.c_str(),
+              space_name.c_str(),
               static_cast<unsigned long long>(space.size()),
               static_cast<unsigned long long>(space.node_count()),
               static_cast<unsigned long long>(stored),

@@ -60,13 +60,17 @@ std::optional<xg::problem> parse_signature(const std::string& signature) {
   xg::problem prob;
   std::size_t* const dims[3] = {&prob.m, &prob.n, &prob.k};
   for (std::size_t i = 0; i < 3; ++i) {
+    // Digits only, as parse_extent: stoull would wrap "-3" to 2^64-3.
+    if (fields[i].empty() ||
+        fields[i].find_first_not_of("0123456789") != std::string::npos) {
+      return std::nullopt;
+    }
     try {
-      std::size_t consumed = 0;
-      *dims[i] = static_cast<std::size_t>(std::stoull(fields[i], &consumed));
-      if (consumed != fields[i].size() || *dims[i] == 0) {
-        return std::nullopt;
-      }
-    } catch (const std::exception&) {
+      *dims[i] = static_cast<std::size_t>(std::stoull(fields[i]));
+    } catch (const std::out_of_range&) {
+      return std::nullopt;
+    }
+    if (*dims[i] == 0) {
       return std::nullopt;
     }
   }

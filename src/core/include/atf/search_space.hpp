@@ -35,6 +35,22 @@ enum class generation_mode {
   intra_group,
 };
 
+class search_space;
+
+namespace detail {
+
+/// The test oracle: `groups` generated as search_space::generate would, but
+/// every group with the plain expansion loop into CSR levels — the form the
+/// shared-suffix DAG falls back to — instead of the DAG. Same
+/// configurations, index order, node numbering and logical counters;
+/// checked_values equals visited_values and stored_nodes equals nodes.
+[[nodiscard]] search_space generate_plain(const std::vector<tp_group>& groups,
+                                          generation_mode mode,
+                                          std::size_t threads = 0,
+                                          const generation_policy& policy = {});
+
+}  // namespace detail
+
 class search_space {
 public:
   /// Decodes configuration indices into value indices — each parameter's
@@ -66,14 +82,11 @@ public:
   /// other modes. `policy` tunes the adaptive chunk scheduler of intra_group
   /// mode (over-partition factor, hot-chunk re-splitting — see
   /// generation_policy); it never affects the generated space, only load
-  /// balance. `storage` chooses the per-group node representation
-  /// (space_storage.hpp: dense, packed, or lazy) — every backend produces
-  /// bit-identical configurations and index order.
+  /// balance.
   static search_space generate(const std::vector<tp_group>& groups,
                                generation_mode mode,
                                std::size_t threads = 0,
-                               const generation_policy& policy = {},
-                               const space_storage_policy& storage = {});
+                               const generation_policy& policy = {});
 
   /// Back-compat convenience: `parallel` maps to intra_group (the fastest
   /// mode; bit-identical results) and false to sequential — used by benches
@@ -139,15 +152,19 @@ public:
 
   [[nodiscard]] std::uint64_t node_count() const noexcept;
 
-  /// Heap bytes the per-group node storages hold right now (for the lazy
-  /// backend this includes the currently materialized chunk caches).
+  /// Heap bytes the per-group node storages hold.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  /// Releases every group tree's per-chunk generation accounting
-  /// (space_tree::drop_stats) — long-lived processes holding many spaces.
-  void drop_stats();
-
 private:
+  friend search_space detail::generate_plain(const std::vector<tp_group>&,
+                                             generation_mode, std::size_t,
+                                             const generation_policy&);
+
+  static search_space generate_impl(const std::vector<tp_group>& groups,
+                                    generation_mode mode, std::size_t threads,
+                                    const generation_policy& policy,
+                                    bool share_suffixes);
+
   void decompose(std::uint64_t index, std::vector<std::uint64_t>& out) const;
 
   std::vector<space_tree> trees_;

@@ -1,79 +1,44 @@
-// Pluggable node storage behind the constrained search-space tree.
+// Node storage behind the constrained search-space tree.
 //
 // The tree's access algorithms (path_of, values_at, apply, random_neighbor)
 // only ever read one node at a time — value index, child span, leaf count —
-// so the *representation* of the levels is swappable behind a small cursor
-// interface without touching any index-based consumer. Decoding a leaf to
-// its value indices (cursor::value_indices, under values_at and apply) is
-// the one walk a backend may run over its own arrays instead; the DAG does.
+// so the representation of the levels sits behind a small cursor interface
+// that no index-based consumer sees. Decoding a leaf to its value indices
+// (cursor::value_indices, under values_at and apply) is the one walk a
+// representation may run over its own arrays instead; the DAG does.
 //
-// Generation expands the root range in contiguous chunks, and no backend
-// ever concatenates them: every backend keeps one shared *chunk table* —
-// per-chunk leaf and per-level logical node prefix sums, in root-value
-// order — that places each chunk in the global dense node numbering.
-// Leaf levels store only value indices (a leaf has no children and one
-// leaf). Three backends trade memory for regeneration work:
+// Generation expands the root range in contiguous chunks and never
+// concatenates them: a *chunk table* — per-chunk leaf and per-level logical
+// node prefix sums, in root-value order — places each chunk in the global
+// dense node numbering. Leaf levels store only value indices (a leaf has no
+// children and one leaf). A chunk is stored in one of two forms, chosen
+// from the group, never by the caller:
 //
-//   dense   each chunk's tree as a shared-suffix DAG (DESIGN.md §7, §11):
-//           per level, flat arrays of entries (value index, child list id)
-//           grouped into lists, where a list is stored once and referenced
-//           by every prefix whose constraints read the same values. Each
-//           list carries its leaf count and its logical node count at every
-//           deeper level, which give node_count() and the global numbering
-//           without a materialized tree. A group whose constraints read
-//           outside the tp-handle contract falls back to plain per-chunk
-//           CSR.
-//   packed  each chunk's CSR levels bit-packed to the minimal uniform width
-//           per array (atf/common/bitpack.hpp), by the worker that expanded
-//           the chunk; O(1) reads. Built by the plain expansion loop, so it
-//           is also the independent oracle the DAG is tested against.
-//   lazy    no nodes at all: only the chunk table and each chunk's root
-//           span survive generation. Chunk subtrees are regenerated on
-//           demand — constraint evaluation is deterministic, so re-expansion
-//           reproduces the chunk bit-exactly — into a bounded LRU cache.
-//           Peak memory scales with the cache budget, not the space, which
-//           is what lets the tuner address spaces that never fit in RAM
-//           (ROADMAP: billion-configuration spaces).
+//   shared-suffix DAG  (DESIGN.md §7, §11) per level, flat arrays of
+//           entries (value index, child list id) grouped into lists, where a
+//           list is stored once and referenced by every prefix whose
+//           constraints read the same values. Each list carries its leaf
+//           count and its logical node count at every deeper level, which
+//           give node_count() and the global numbering without a
+//           materialized tree.
+//   plain CSR  the plain expansion loop's per-level arrays. The fallback for
+//           a group the DAG cannot represent (shared_suffix_unsupported),
+//           and the independent oracle the DAG is tested against
+//           (detail::generate_plain, search_space.hpp).
 //
-// Random access stays O(depth x branching) in every backend: a cursor jumps
-// straight to the owning chunk via the table's leaf prefix sums instead of
-// scanning the root level from node 0.
+// Random access is O(depth x branching) in both: a cursor jumps straight to
+// the owning chunk via the table's leaf prefix sums instead of scanning the
+// root level from node 0.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "atf/tp.hpp"
 
 namespace atf {
-
-enum class space_storage_backend {
-  dense,   ///< plain CSR vectors (the reference representation)
-  packed,  ///< bit-packed CSR, minimal uniform width per array
-  lazy,    ///< chunk summaries only; subtrees regenerated into an LRU cache
-};
-
-[[nodiscard]] const char* to_string(space_storage_backend backend) noexcept;
-
-/// How a generated tree stores its nodes. Threaded from atf_tune /
-/// tuner::space_storage(...) through search_space::generate down to
-/// space_tree::generate. Never affects which configurations exist or their
-/// flat-index order — only the representation (and, for lazy, whether
-/// generation keeps any nodes at all).
-struct space_storage_policy {
-  space_storage_backend backend = space_storage_backend::dense;
-  /// lazy only: byte budget of the regenerated-chunk LRU cache. The most
-  /// recently used chunk is always retained, so a single chunk larger than
-  /// the budget still works (the cache just holds that one chunk).
-  std::size_t chunk_cache_bytes = std::size_t{64} << 20;
-  /// lazy only: how many root-range chunks generation should aim for
-  /// (0 = automatic). More chunks mean finer regeneration units and a
-  /// lower peak RSS during both generation and access.
-  std::size_t lazy_target_chunks = 0;
-};
 
 namespace detail {
 
@@ -98,10 +63,9 @@ struct csr_level {
   }
 };
 
-/// One materialized node, whatever the backend stores underneath. Node ids
-/// are positions in the backend's stored levels: the global dense
-/// numbering for CSR levels, stored-entry positions for the shared-suffix
-/// DAG (cursor::global_path translates).
+/// One node, whatever is stored underneath. Node ids are positions in the
+/// stored levels: the global dense numbering for CSR levels, stored-entry
+/// positions for the shared-suffix DAG (cursor::global_path translates).
 struct node_ref {
   std::uint32_t value_index = 0;
   std::uint64_t child_begin = 0;  ///< id of the first child
@@ -138,8 +102,8 @@ protected:
 };
 
 /// The plain expansion loop into CSR levels: every valid prefix expands
-/// every deeper level's full range. Packed, lazy (also when regenerating a
-/// chunk) and the dense fallback are built by it.
+/// every deeper level's full range. The DAG's fallback and the test oracle
+/// are built by it.
 class csr_expansion final : public chunk_expansion {
 public:
   explicit csr_expansion(const std::vector<std::shared_ptr<itp>>& params)
@@ -169,10 +133,9 @@ private:
 struct shared_suffix_unsupported {};
 
 /// The shape of one generated root-range chunk — one row of the chunk
-/// table every backend shares.
+/// table.
 struct chunk_summary {
   std::uint64_t root_lo = 0;  ///< first root value of the chunk
-  std::uint64_t root_hi = 0;  ///< one past the last root value
   std::uint64_t leaves = 0;   ///< valid configurations in the chunk
   std::vector<std::uint64_t> level_nodes;  ///< logical node count per level
 };
@@ -180,9 +143,8 @@ struct chunk_summary {
 /// Abstract node storage. Node ids are per level and shaped like CSR ids
 /// (a node's children are a contiguous id span), so the tree's algorithms
 /// are representation-agnostic; global_path maps them to the global dense
-/// numbering. Reads go through a cursor: one cursor per tree operation,
-/// giving the lazy backend a place to pin the chunk it is walking (the LRU
-/// cache may not evict a chunk an operation still reads).
+/// numbering. Reads go through a cursor, which remembers the chunk it read
+/// last: one cursor per tree operation, or one reused across many decodes.
 class space_storage {
 public:
   class cursor {
@@ -195,9 +157,9 @@ public:
 
     /// Entry point of a root-level sibling scan for leaf `index`: returns
     /// the level-0 node id at which scanning may start and rewrites
-    /// `index` relative to that node. Every backend jumps to the owning
-    /// chunk's first root via the chunk table's leaf prefix sums, so a scan
-    /// never reads (or, for lazy, materializes) unrelated chunks.
+    /// `index` relative to that node: the owning chunk's first root, found
+    /// via the chunk table's leaf prefix sums, so a scan never reads
+    /// unrelated chunks.
     [[nodiscard]] virtual std::uint64_t root_scan_start(
         std::uint64_t& index) = 0;
 
@@ -216,15 +178,15 @@ public:
     /// A sibling scan per inner level, then a direct offset at the leaf
     /// level (every leaf holds one leaf). This base walk reads through
     /// node(); the DAG overrides it with a walk over its level arrays.
-    /// Reusing one cursor for many leaves keeps its cached chunk (and, for
-    /// lazy, its pinned chunk) across calls.
+    /// Reusing one cursor for many leaves keeps its cached chunk across
+    /// calls.
     virtual void value_indices(std::uint64_t index, std::uint32_t* out);
 
     /// Siblings value_indices scanned past below the root level since the
     /// cursor was made. The root scan starts at the owning generation
     /// chunk, whose bounds depend on the generation schedule, so it is left
     /// out: the count depends only on the tree and the leaves decoded, the
-    /// same in every backend — a deterministic measure of decode work.
+    /// same for the DAG and CSR — a deterministic measure of decode work.
     [[nodiscard]] std::uint64_t sibling_steps() const noexcept {
       return sibling_steps_;
     }
@@ -238,27 +200,24 @@ public:
 
   virtual ~space_storage() = default;
 
-  [[nodiscard]] virtual space_storage_backend backend() const noexcept = 0;
   [[nodiscard]] virtual std::size_t depth() const noexcept = 0;
-  /// Logical nodes of level `lvl` (identical across backends). Level 0 is
-  /// never shared, so these are also its node ids.
+  /// Logical nodes of level `lvl` (identical for the DAG and CSR). Level 0
+  /// is never shared, so these are also its node ids.
   [[nodiscard]] virtual std::uint64_t level_size(
       std::size_t lvl) const noexcept = 0;
-  /// Total logical nodes (identical across backends).
+  /// Total logical nodes (identical for the DAG and CSR).
   [[nodiscard]] virtual std::uint64_t node_count() const noexcept = 0;
-  /// Node entries held: the DAG's entries (dense), every logical node (CSR
-  /// backends), none (lazy).
+  /// Node entries held: the DAG's entries, or every logical node (CSR).
   [[nodiscard]] virtual std::uint64_t stored_nodes() const noexcept = 0;
-  /// Heap bytes actually held right now (for lazy: summaries + live cache).
+  /// Heap bytes held.
   [[nodiscard]] virtual std::size_t memory_bytes() const noexcept = 0;
   [[nodiscard]] virtual std::unique_ptr<cursor> make_cursor() const = 0;
 };
 
-/// Builds a backend from generation's chunks. start_chunk() hands each
-/// worker an expansion of the backend's kind; workers hand back each chunk
-/// as they finish it, in any order. add() converts it to the backend's own
-/// per-chunk form on the calling thread (packed bit-packs the levels, lazy
-/// drops them and keeps the root span) and only then files it under a
+/// Builds a storage from generation's chunks. start_chunk() hands each
+/// worker an expansion of the storage's kind; workers hand back each chunk
+/// as they finish it, in any order. add() converts it to the stored
+/// per-chunk form on the calling thread and only then files it under a
 /// short lock. finish() orders the chunks by root value, drops chunks
 /// without leaves (every prefix died, so they hold no nodes either) and
 /// builds the chunk table over the rest.
@@ -274,22 +233,17 @@ public:
   [[nodiscard]] virtual std::shared_ptr<space_storage> finish() = 0;
 };
 
-/// `params` must be the tree's own shared parameter handles: lazy
-/// regeneration replays set_and_check through them in the calling thread's
-/// *current* evaluation context (contexts are thread-exclusive, so
-/// concurrent operations regenerate without racing; no context is leased,
-/// so regeneration can never deadlock against callers that already hold
-/// one). `share_suffixes` = false builds the dense backend with the plain
-/// loop into CSR: the fallback after a shared_suffix_unsupported.
+/// The shared-suffix DAG's builder, or (`share_suffixes` = false, or a
+/// group deeper than max_shared_suffix_depth) the plain loop's into CSR:
+/// the fallback after a shared_suffix_unsupported, and the test oracle.
 [[nodiscard]] std::unique_ptr<storage_builder> make_storage_builder(
-    const space_storage_policy& policy,
-    std::vector<std::shared_ptr<itp>> params, bool share_suffixes = true);
+    std::vector<std::shared_ptr<itp>> params, bool share_suffixes);
 
 /// Deepest group the shared-suffix DAG handles: read sets are 64-bit masks
 /// over levels. Deeper groups use the plain loop.
 inline constexpr std::size_t max_shared_suffix_depth = 64;
 
-/// The dense backend's shared-suffix builder (shared_suffix.cpp).
+/// The shared-suffix DAG's builder (shared_suffix.cpp).
 [[nodiscard]] std::unique_ptr<storage_builder> make_shared_suffix_builder(
     std::vector<std::shared_ptr<itp>> params);
 

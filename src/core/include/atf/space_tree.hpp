@@ -10,14 +10,13 @@
 // product-then-filter generator (CLTune) runs for hours (paper, Section VI-A).
 //
 // The tree is stored level by level, one partial tree per generation chunk
-// behind a shared chunk table, in a pluggable space_storage backend
-// (space_storage.hpp): a shared-suffix DAG that stores every repeated
-// subtree once (dense), bit-packed CSR, or lazily regenerated chunks. Every
-// inner node knows the number of leaves below it, so the tree supports
-// random access by flat leaf index in O(depth x average-branching) in every
-// backend. That random access is what
-// lets the OpenTuner-style search technique treat the whole constrained
-// space as a single integer parameter TP in [0, S) (paper, Section IV-C).
+// behind a shared chunk table (space_storage.hpp): a shared-suffix DAG that
+// stores every repeated subtree once, or plain CSR levels for a group the
+// DAG cannot represent. Every inner node knows the number of leaves below
+// it, so the tree supports random access by flat leaf index in
+// O(depth x average-branching). That random access is what lets the
+// OpenTuner-style search technique treat the whole constrained space as a
+// single integer parameter TP in [0, S) (paper, Section IV-C).
 #pragma once
 
 #include <cstdint>
@@ -105,10 +104,7 @@ public:
   /// Generates the tree for a dependency group. The group's parameters keep
   /// sharing state with the caller's tp handles, so replaying a
   /// configuration through this tree updates the caller's expressions.
-  /// `storage` chooses the node representation (space_storage.hpp); every
-  /// backend yields bit-identical leaves, order and access results.
-  static space_tree generate(const tp_group& group,
-                             const space_storage_policy& storage = {});
+  static space_tree generate(const tp_group& group);
 
   /// Intra-group parallel generation: the root parameter's range is over-
   /// partitioned into contiguous chunks that workers *pull* from a shared
@@ -117,23 +113,15 @@ public:
   /// completed-chunk median while other workers starve gives away the tail
   /// half of its remaining root span as a new chunk (generation_policy).
   /// Partial trees are never concatenated: each stays as its worker built
-  /// it (packed: bit-packed by that worker), and a chunk table of per-chunk
-  /// leaf and node prefix sums in root-value order maps them onto the global
-  /// node numbering. The result is bit-identical to sequential generation —
+  /// it, and a chunk table of per-chunk leaf and node prefix sums in
+  /// root-value order maps them onto the global node numbering. The result is bit-identical to sequential generation —
   /// same node numbering, child spans, leaf counts and flat-index order,
   /// regardless of worker count, chunk schedule or re-splits — and every
   /// index-based consumer is oblivious to how the tree was built. This is
   /// what parallelizes the Fig. 2 XgemmDirect case, a *single* group that
   /// Section V's one-thread-per-group scheme cannot speed up.
-  ///
-  /// With the lazy storage backend, generation *streams*: each chunk keeps
-  /// only its chunk-table row ([root_lo, root_hi) → leaf/node counts) and
-  /// its node buffers are dropped immediately, so peak memory scales with
-  /// the largest in-flight chunk plus the chunk cache — never with the
-  /// space.
   static space_tree generate(const tp_group& group, common::thread_pool& pool,
-                             const generation_policy& policy = {},
-                             const space_storage_policy& storage = {});
+                             const generation_policy& policy = {});
 
   /// Number of valid configurations (leaves).
   [[nodiscard]] std::uint64_t size() const noexcept { return leaf_total_; }
@@ -149,16 +137,9 @@ public:
     return stats_;
   }
 
-  /// Releases the per-chunk accounting (generation_stats::per_chunk) while
-  /// keeping the aggregate counters. Long-lived processes holding many
-  /// large trees call this once the per-chunk breakdown has been consumed;
-  /// the lazy backend calls it automatically — its chunk counts are large
-  /// by design.
-  void drop_stats();
-
   /// Writes the per-level node positions of leaf `index` into `path` (which
   /// must have depth() slots): the global dense numbering, each level's
-  /// nodes counted in depth-first order, whatever the backend stores.
+  /// nodes counted in depth-first order, whatever the storage holds.
   void path_of(std::uint64_t index, std::uint64_t* path) const;
 
   /// The type-erased values of leaf `index`, one per parameter.
@@ -201,33 +182,30 @@ public:
   [[nodiscard]] std::uint64_t random_neighbor(std::uint64_t index,
                                               common::xoshiro256& rng) const;
 
-  /// Total logical nodes — identical across storage backends.
+  /// Total logical nodes — the same whether stored as a DAG or as CSR.
   [[nodiscard]] std::uint64_t node_count() const noexcept;
 
-  /// Heap bytes the node storage holds right now: the chunk table plus, for
-  /// dense, its per-chunk DAG levels, for packed its bit-packed words, and
-  /// for lazy the root spans and the chunks currently in the cache.
+  /// Heap bytes the node storage holds: the chunk table plus the per-chunk
+  /// DAG (or CSR) levels.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
-  /// Which representation backs this tree.
-  [[nodiscard]] space_storage_backend storage_backend() const noexcept;
-
 private:
+  friend class search_space;
+
+  /// `share_suffixes` = false generates with the plain loop into CSR, as
+  /// the fallback does: the test oracle (detail::generate_plain).
   static space_tree generate_impl(const tp_group& group,
                                   common::thread_pool* pool,
                                   const generation_policy& policy,
-                                  const space_storage_policy& storage);
+                                  bool share_suffixes);
 
   /// Expands every root chunk into a storage, sequentially (pool null) or
   /// on the pool. Returns false, having set nothing, when the shared-suffix
   /// DAG cannot represent the group (detail::shared_suffix_unsupported).
   bool generate_chunks(common::thread_pool* pool,
-                       const generation_policy& policy,
-                       const space_storage_policy& storage,
-                       bool share_suffixes);
+                       const generation_policy& policy, bool share_suffixes);
 
-  /// path_of against an existing cursor (one cursor per public operation:
-  /// the lazy backend pins the chunk it is walking on the cursor).
+  /// path_of against an existing cursor (one cursor per public operation).
   void path_of_with(detail::space_storage::cursor& cursor,
                     std::uint64_t index, std::uint64_t* path) const;
   [[nodiscard]] std::uint64_t leaf_index_of_path(

@@ -113,18 +113,6 @@ public:
     return *this;
   }
 
-  /// Chooses how the generated space stores its nodes (space_storage.hpp):
-  /// dense CSR (default), bit-packed CSR (3-8x smaller, same O(1) reads),
-  /// or lazy chunk regeneration behind a bounded LRU cache — the backend
-  /// for spaces too large to materialize. Every backend yields bit-identical
-  /// configurations, index order and therefore tuning results; only memory
-  /// (and, for lazy, regeneration work on access) differs.
-  tuner& space_storage(const space_storage_policy& policy) {
-    storage_policy_ = policy;
-    space_.reset();
-    return *this;
-  }
-
   /// Back-compat toggle: disables parallel generation entirely (false) or
   /// selects the full nested mode (true). Diagnostics/benches.
   tuner& parallel_generation(bool enabled) {
@@ -231,8 +219,7 @@ public:
   const search_space& space() {
     if (!space_.has_value()) {
       space_ = search_space::generate(groups_, generation_mode_,
-                                      /*threads=*/0, generation_policy_,
-                                      storage_policy_);
+                                      /*threads=*/0, generation_policy_);
     }
     return *space_;
   }
@@ -320,7 +307,6 @@ private:
   std::optional<search_space> space_;
   generation_mode generation_mode_ = generation_mode::intra_group;
   atf::generation_policy generation_policy_;
-  atf::space_storage_policy storage_policy_;
   evaluation_mode evaluation_mode_ = evaluation_mode::sequential;
   std::size_t concurrency_ = 0;
   std::optional<common::log_level> pre_verbose_log_level_;

@@ -1,9 +1,9 @@
-// The chunk table every space_storage backend shares (internal to
-// atf_core). Generation's chunks partition the root range into disjoint
-// contiguous spans, and sequential expansion numbers nodes chunk-by-chunk in
-// root order — so per-chunk node-count prefix sums translate between the
-// global dense numbering and a chunk-local one exactly, whichever backend
-// holds (or regenerates) the chunk's nodes.
+// The chunk table behind every space_storage (internal to atf_core).
+// Generation's chunks partition the root range into disjoint contiguous
+// spans, and sequential expansion numbers nodes chunk-by-chunk in root
+// order — so per-chunk node-count prefix sums translate between the global
+// dense numbering and a chunk-local one exactly, whether the chunk is
+// stored as a DAG or as CSR.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +57,7 @@ struct chunk_table {
   std::vector<std::vector<std::uint64_t>> node_before;
 };
 
-/// What every backend shares: the chunk table and the shape queries on it.
+/// What the DAG and CSR share: the chunk table and the shape queries on it.
 class table_storage : public space_storage {
 public:
   explicit table_storage(chunk_table table) : table_(std::move(table)) {}
@@ -84,14 +84,13 @@ protected:
 
 /// A storage_builder from three parts: `Start` makes the expansion of one
 /// chunk from the group's parameters, `Convert` turns a finished expansion
-/// into the backend's per-chunk form on the worker's thread, and `Build`
-/// makes the storage from the table and the converted chunks in root order.
+/// into the stored per-chunk form on the worker's thread, and `Build` makes
+/// the storage from the table and the converted chunks in root order.
 template <class Start, class Convert, class Build>
 class chunk_builder final : public storage_builder {
   using Expansion = typename std::invoke_result_t<
       Start, const std::vector<std::shared_ptr<itp>>&>::element_type;
-  using chunk_type =
-      std::invoke_result_t<Convert, const chunk_summary&, Expansion&&>;
+  using chunk_type = std::invoke_result_t<Convert, Expansion&&>;
 
 public:
   chunk_builder(std::vector<std::shared_ptr<itp>> params, Start start,
@@ -107,7 +106,7 @@ public:
   void add(chunk_summary summary,
            std::unique_ptr<chunk_expansion> chunk) override {
     chunk_type converted =
-        convert_(summary, std::move(static_cast<Expansion&>(*chunk)));
+        convert_(std::move(static_cast<Expansion&>(*chunk)));
     chunk.reset();  // release expansion scratch before taking the lock
     std::lock_guard lock(mutex_);
     entries_.push_back({std::move(summary), std::move(converted)});

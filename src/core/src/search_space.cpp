@@ -20,8 +20,21 @@ search_space search_space::generate(const std::vector<tp_group>& groups,
 search_space search_space::generate(const std::vector<tp_group>& groups,
                                     generation_mode mode,
                                     std::size_t threads,
-                                    const generation_policy& policy,
-                                    const space_storage_policy& storage) {
+                                    const generation_policy& policy) {
+  return generate_impl(groups, mode, threads, policy, true);
+}
+
+search_space detail::generate_plain(const std::vector<tp_group>& groups,
+                                    generation_mode mode, std::size_t threads,
+                                    const generation_policy& policy) {
+  return search_space::generate_impl(groups, mode, threads, policy, false);
+}
+
+search_space search_space::generate_impl(const std::vector<tp_group>& groups,
+                                         generation_mode mode,
+                                         std::size_t threads,
+                                         const generation_policy& policy,
+                                         bool share_suffixes) {
   search_space space;
   space.trees_.resize(groups.size());
 
@@ -29,14 +42,16 @@ search_space search_space::generate(const std::vector<tp_group>& groups,
   switch (mode) {
     case generation_mode::sequential:
       for (std::size_t g = 0; g < groups.size(); ++g) {
-        space.trees_[g] = space_tree::generate(groups[g], storage);
+        space.trees_[g] = space_tree::generate_impl(
+            groups[g], nullptr, policy, share_suffixes);
       }
       break;
 
     case generation_mode::per_group: {
       if (groups.size() <= 1) {
         for (std::size_t g = 0; g < groups.size(); ++g) {
-          space.trees_[g] = space_tree::generate(groups[g], storage);
+          space.trees_[g] = space_tree::generate_impl(
+            groups[g], nullptr, policy, share_suffixes);
         }
         break;
       }
@@ -49,7 +64,8 @@ search_space search_space::generate(const std::vector<tp_group>& groups,
       for (std::size_t g = 0; g < groups.size(); ++g) {
         workers.emplace_back([&, g] {
           try {
-            space.trees_[g] = space_tree::generate(groups[g], storage);
+            space.trees_[g] = space_tree::generate_impl(
+            groups[g], nullptr, policy, share_suffixes);
           } catch (...) {
             errors[g] = std::current_exception();
           }
@@ -87,8 +103,8 @@ search_space search_space::generate(const std::vector<tp_group>& groups,
       }
       common::thread_pool pool(resolved);
       pool.parallel_for(groups.size(), [&](std::size_t g) {
-        space.trees_[g] = space_tree::generate(groups[g], pool, policy,
-                                               storage);
+        space.trees_[g] =
+            space_tree::generate_impl(groups[g], &pool, policy, share_suffixes);
       });
       break;
     }
@@ -269,12 +285,6 @@ std::size_t search_space::memory_bytes() const noexcept {
     total += tree.memory_bytes();
   }
   return total;
-}
-
-void search_space::drop_stats() {
-  for (auto& tree : trees_) {
-    tree.drop_stats();
-  }
 }
 
 }  // namespace atf

@@ -1,5 +1,4 @@
-// Shared-suffix generation and storage for the dense backend (DESIGN.md
-// §7, §11).
+// Shared-suffix generation and storage: the DAG (DESIGN.md §7, §11).
 //
 // A subtree of the constrained tree depends only on the prefix values its
 // constraints read. Generation records those reads (tp.hpp's
@@ -589,9 +588,6 @@ public:
     }
   }
 
-  [[nodiscard]] space_storage_backend backend() const noexcept override {
-    return space_storage_backend::dense;
-  }
   [[nodiscard]] std::uint64_t stored_nodes() const noexcept override {
     std::uint64_t total = 0;
     for (const auto& before : entry_before_) {
@@ -757,7 +753,7 @@ std::unique_ptr<storage_builder> make_shared_suffix_builder(
       [verdicts](const std::vector<std::shared_ptr<itp>>& group) {
         return std::make_unique<shared_suffix_expansion>(group, *verdicts);
       },
-      [](const chunk_summary&, shared_suffix_expansion&& chunk) {
+      [](shared_suffix_expansion&& chunk) {
         return std::move(chunk).take_levels();
       },
       [](chunk_table table, std::vector<std::vector<dag_level>> chunks)

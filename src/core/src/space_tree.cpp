@@ -115,22 +115,20 @@ std::uint64_t csr_bytes(const std::vector<std::uint64_t>& level_nodes) {
 
 }  // namespace
 
-space_tree space_tree::generate(const tp_group& group,
-                                const space_storage_policy& storage) {
-  return generate_impl(group, nullptr, generation_policy{}, storage);
+space_tree space_tree::generate(const tp_group& group) {
+  return generate_impl(group, nullptr, generation_policy{}, true);
 }
 
 space_tree space_tree::generate(const tp_group& group,
                                 common::thread_pool& pool,
-                                const generation_policy& policy,
-                                const space_storage_policy& storage) {
-  return generate_impl(group, &pool, policy, storage);
+                                const generation_policy& policy) {
+  return generate_impl(group, &pool, policy, true);
 }
 
 space_tree space_tree::generate_impl(const tp_group& group,
                                      common::thread_pool* pool,
                                      const generation_policy& policy,
-                                     const space_storage_policy& storage) {
+                                     bool share_suffixes) {
   space_tree tree;
   tree.params_.reserve(group.size());
   for (const auto& param : group.params()) {
@@ -148,32 +146,24 @@ space_tree space_tree::generate_impl(const tp_group& group,
     // A group with no parameters contributes exactly one (empty)
     // configuration so that cross-group products stay well-defined.
     tree.leaf_total_ = 1;
-    tree.storage_ = detail::make_storage_builder(storage, {})->finish();
-  } else if (!tree.generate_chunks(pool, policy, storage, true)) {
+    tree.storage_ = detail::make_storage_builder({}, false)->finish();
+  } else if (!tree.generate_chunks(pool, policy, share_suffixes)) {
     // The DAG cannot represent this group (a constraint read outside the
     // purity contract, or a level outgrew 32-bit ids): generate it again
     // with the plain loop.
-    (void)tree.generate_chunks(pool, policy, storage, false);
+    (void)tree.generate_chunks(pool, policy, false);
   }
   tree.stats_.seconds = timer.elapsed_seconds();
   tree.stats_.nodes = tree.node_count();
   tree.stats_.stored_nodes = tree.storage_->stored_nodes();
   tree.stats_.bytes = tree.memory_bytes();
-  if (storage.backend == space_storage_backend::lazy) {
-    // Per-chunk accounting at lazy chunk counts is itself a per-space
-    // allocation — exactly what the lazy backend exists to avoid.
-    tree.drop_stats();
-  }
   return tree;
 }
 
 bool space_tree::generate_chunks(common::thread_pool* pool,
                                  const generation_policy& policy,
-                                 const space_storage_policy& storage,
                                  bool share_suffixes) {
-  const bool lazy = storage.backend == space_storage_backend::lazy;
-  const auto builder =
-      detail::make_storage_builder(storage, params_, share_suffixes);
+  const auto builder = detail::make_storage_builder(params_, share_suffixes);
   const std::uint64_t root_range = params_[0]->range_size();
 
   generation_stats stats;
@@ -183,14 +173,12 @@ bool space_tree::generate_chunks(common::thread_pool* pool,
   std::atomic<bool> unsupported{false};
 
   // Consumes one finished chunk on the thread that expanded it: the
-  // builder converts the expansion to the backend's form (packed bit-packs
-  // it, lazy drops it — this is what makes lazy generation stream) before
-  // the chunk's counters are booked under a short lock.
+  // builder converts the expansion to its stored form before the chunk's
+  // counters are booked under a short lock.
   auto consume = [&](chunk_result&& part) {
     const detail::expansion_counters counters = part.expansion->counters();
     detail::chunk_summary summary;
     summary.root_lo = part.root_lo;
-    summary.root_hi = part.root_hi;
     summary.leaves = counters.leaves;
     summary.level_nodes = part.expansion->level_nodes();
     chunk_stat stat;
@@ -227,23 +215,9 @@ bool space_tree::generate_chunks(common::thread_pool* pool,
 
   if (pool == nullptr || root_range <= 1) {
     // Sequential generation on the calling thread in the ambient
-    // evaluation context. The lazy backend still chunks the root range —
-    // finer chunks mean finer regeneration units — while the other
-    // backends expand one chunk.
+    // evaluation context, as one chunk.
     try {
-      if (lazy && root_range > 1) {
-        const std::size_t target = std::min<std::uint64_t>(
-            root_range, storage.lazy_target_chunks != 0
-                            ? storage.lazy_target_chunks
-                            : 64);
-        const auto bounds = common::partition_evenly(
-            static_cast<std::size_t>(root_range), target);
-        for (std::size_t c = 0; c + 1 < bounds.size(); ++c) {
-          consume(expand_chunk(bounds[c], bounds[c + 1]));
-        }
-      } else {
-        consume(expand_chunk(0, root_range));
-      }
+      consume(expand_chunk(0, root_range));
     } catch (const detail::shared_suffix_unsupported&) {
       return false;
     }
@@ -251,18 +225,12 @@ bool space_tree::generate_chunks(common::thread_pool* pool,
     // Over-partition the root range relative to the worker count so chunks
     // whose root values die early do not straggle the rest, then let
     // workers pull chunks from a shared queue. Chunk boundaries never
-    // affect the result, only load balance. Lazy raises the floor to its
-    // target chunk count: chunks are also its regeneration granularity.
+    // affect the result, only load balance.
     const std::size_t workers = pool->size() + 1;
-    std::uint64_t floor = static_cast<std::uint64_t>(
-        std::max<std::size_t>(1, workers * policy.over_partition));
-    if (lazy) {
-      floor = std::max<std::uint64_t>(
-          floor, storage.lazy_target_chunks != 0 ? storage.lazy_target_chunks
-                                                 : 64);
-    }
-    const std::size_t initial = static_cast<std::size_t>(
-        std::min<std::uint64_t>(root_range, floor));
+    const std::uint64_t floor =
+        std::max<std::size_t>(1, workers * policy.over_partition);
+    const std::size_t initial =
+        static_cast<std::size_t>(std::min(root_range, floor));
     const auto bounds = common::partition_evenly(
         static_cast<std::size_t>(root_range), initial);
 
@@ -329,11 +297,6 @@ bool space_tree::generate_chunks(common::thread_pool* pool,
   leaf_total_ = leaf_total;
   storage_ = builder->finish();
   return true;
-}
-
-void space_tree::drop_stats() {
-  stats_.per_chunk.clear();
-  stats_.per_chunk.shrink_to_fit();
 }
 
 void space_tree::path_of_with(detail::space_storage::cursor& cursor,
@@ -421,10 +384,6 @@ void space_tree::apply(std::uint64_t index) const {
   if (depth() == 0) {
     return;
   }
-  // Collect every value index before touching the tp slots: a lazy-backend
-  // node read may regenerate a chunk, and regeneration itself replays
-  // set_and_check through the current context — interleaving the reads with
-  // the final writes could clobber values already applied.
   std::vector<std::uint32_t> indices(depth());
   make_cursor()->value_indices(index, indices.data());
   for (std::size_t lvl = 0; lvl < depth(); ++lvl) {
@@ -519,10 +478,6 @@ std::uint64_t space_tree::node_count() const noexcept {
 
 std::size_t space_tree::memory_bytes() const noexcept {
   return storage_ ? storage_->memory_bytes() : 0;
-}
-
-space_storage_backend space_tree::storage_backend() const noexcept {
-  return storage_ ? storage_->backend() : space_storage_backend::dense;
 }
 
 }  // namespace atf

@@ -44,17 +44,24 @@ input_size input_size::parse(const std::string& text) {
   std::string token;
   std::istringstream in(normalized);
   while (std::getline(in, token, 'x')) {
-    std::size_t pos = 0;
+    const auto invalid = [&] {
+      return std::invalid_argument("invalid size component '" + token +
+                                   "' in '" + text + "'");
+    };
+    // stoull accepts "-3" (wrapping to 2^64-3), leading whitespace and "+";
+    // a component is digits only.
+    if (token.empty() ||
+        token.find_first_not_of("0123456789") != std::string::npos) {
+      throw invalid();
+    }
     std::uint64_t v = 0;
     try {
-      v = std::stoull(token, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("invalid size component '" + token +
-                                  "' in '" + text + "'");
+      v = std::stoull(token);
+    } catch (const std::out_of_range&) {
+      throw invalid();
     }
-    if (pos != token.size() || v == 0) {
-      throw std::invalid_argument("invalid size component '" + token +
-                                  "' in '" + text + "'");
+    if (v == 0) {
+      throw invalid();
     }
     size.dims.push_back(v);
   }

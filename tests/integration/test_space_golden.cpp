@@ -2,8 +2,9 @@
 // node paths at 4096 fixed-seed leaf indices plus a 500-step random_neighbor
 // walk, folded into one FNV-1a hash per generation variant. The constants
 // were recorded before the storage layout last changed, so any drift in
-// leaf order, node numbering or neighbor moves — in any backend or
-// generation schedule — fails here even if all variants drift together.
+// leaf order, node numbering or neighbor moves — in the shared-suffix DAG,
+// the plain loop (detail::generate_plain) or any generation schedule —
+// fails here even if all variants drift together.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "atf/common/rng.hpp"
 #include "atf/common/thread_pool.hpp"
 #include "atf/kernels/xgemm_direct.hpp"
+#include "atf/search_space.hpp"
 #include "atf/space_tree.hpp"
 
 namespace {
@@ -69,38 +71,38 @@ std::uint64_t fingerprint(const atf::space_tree& tree) {
   return hash.state;
 }
 
-atf::space_storage_policy storage_of(atf::space_storage_backend backend) {
-  atf::space_storage_policy storage;
-  storage.backend = backend;
-  return storage;
-}
-
 void expect_golden(const atf::space_tree& tree, const char* label) {
   EXPECT_EQ(tree.size(), kSize) << label;
   EXPECT_EQ(tree.node_count(), kNodes) << label;
   EXPECT_EQ(fingerprint(tree), kGolden) << label;
 }
 
-TEST(SpaceGolden, DenseSequential) {
+TEST(SpaceGolden, DagSequential) {
   const auto setup =
       xg::make_tuning_parameters(kProblem, xg::size_mode::general, kLimits);
-  expect_golden(atf::space_tree::generate(
-                    setup.group(),
-                    storage_of(atf::space_storage_backend::dense)),
-                "dense/sequential");
+  expect_golden(atf::space_tree::generate(setup.group()), "dag/sequential");
 }
 
-TEST(SpaceGolden, PooledBackends) {
+TEST(SpaceGolden, DagPooled) {
   atf::common::thread_pool pool(3);
-  for (const auto backend :
-       {atf::space_storage_backend::dense, atf::space_storage_backend::packed,
-        atf::space_storage_backend::lazy}) {
+  const auto setup =
+      xg::make_tuning_parameters(kProblem, xg::size_mode::general, kLimits);
+  const auto tree = atf::space_tree::generate(setup.group(), pool);
+  EXPECT_GT(tree.stats().chunks, 1u);
+  expect_golden(tree, "dag/pooled");
+}
+
+TEST(SpaceGolden, PlainLoop) {
+  for (const auto mode :
+       {atf::generation_mode::sequential, atf::generation_mode::intra_group}) {
     const auto setup =
         xg::make_tuning_parameters(kProblem, xg::size_mode::general, kLimits);
-    const auto tree = atf::space_tree::generate(setup.group(), pool, {},
-                                                storage_of(backend));
-    EXPECT_GT(tree.stats().chunks, 1u) << atf::to_string(backend);
-    expect_golden(tree, atf::to_string(backend));
+    const auto tree =
+        atf::detail::generate_plain({setup.group()}, mode, 3).group(0);
+    const bool pooled = mode == atf::generation_mode::intra_group;
+    EXPECT_EQ(tree.stats().stored_nodes, kNodes);
+    EXPECT_EQ(tree.stats().chunks > 1, pooled);
+    expect_golden(tree, pooled ? "plain/pooled" : "plain/sequential");
   }
 }
 

@@ -61,6 +61,15 @@ TEST(RegistryTable, InputSizeParsing) {
   EXPECT_THROW((void)reg::input_size::parse("0x4"), std::invalid_argument);
   EXPECT_THROW((void)reg::input_size::parse("axb"), std::invalid_argument);
   EXPECT_THROW((void)reg::input_size::parse("4xx8"), std::invalid_argument);
+  // Digits only: stoull alone would wrap "-3" to 2^64-3 and skip the
+  // whitespace and sign.
+  for (const char* bad : {"-3", " -3", " 3", "+3", "3 ", "8x-3",
+                          "99999999999999999999", "4x18446744073709551616"}) {
+    EXPECT_THROW((void)reg::input_size::parse(bad), std::invalid_argument)
+        << "'" << bad << "'";
+  }
+  EXPECT_EQ(reg::input_size::parse("18446744073709551615").dims,
+            (std::vector<std::uint64_t>{18446744073709551615ull}));
 }
 
 TEST(RegistryTable, MakeTechniqueKnowsTheCliNames) {

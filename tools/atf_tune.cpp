@@ -8,7 +8,6 @@
 //            --param "UNROLL=set:1,2,4,8"
 //            [--technique exhaustive|annealing|opentuner|surrogate|random]
 //            [--evaluations N] [--seconds S] [--seed N] [--csv out.csv]
-//            [--space-storage dense|packed|lazy] [--chunk-cache-mb N]
 //
 // GEMM grid mode (multi-size dispatch, DESIGN.md §12): instead of tuning a
 // program, grid-tune the built-in XgemmDirect kernel over a problem-size
@@ -113,8 +112,6 @@ struct cli_options {
   std::string log_file;
   std::string csv;
   std::string technique = "exhaustive";
-  std::string space_storage = "dense";
-  std::optional<std::size_t> chunk_cache_mb;
   std::vector<std::string> params;
   std::optional<std::uint64_t> evaluations;
   std::optional<double> seconds;
@@ -144,17 +141,6 @@ void usage(const char* argv0) {
       "          [--log-file FILE] [--technique exhaustive|annealing|"
       "opentuner|surrogate|random]\n"
       "          [--evaluations N] [--seconds S] [--seed N] [--csv FILE]\n"
-      "          [--space-storage dense|packed|lazy] [--chunk-cache-mb N]\n"
-      "\n"
-      "  --space-storage   how the generated search space stores its nodes:\n"
-      "                    dense (default) repeated subtrees stored once;\n"
-      "                    packed bit-packed plain tree, 3-8x smaller than\n"
-      "                    plain arrays; lazy keeps only per-chunk\n"
-      "                    summaries and regenerates subtrees on demand into\n"
-      "                    a bounded cache -- for spaces too large for RAM.\n"
-      "                    All backends tune bit-identically.\n"
-      "  --chunk-cache-mb  lazy only: budget of the regenerated-chunk cache\n"
-      "                    in MiB (default 64).\n"
       "\n"
       "GEMM grid mode:\n"
       "       %s --size-grid \"32,128x32,128x32,64\" --journal-dir DIR\n"
@@ -209,14 +195,6 @@ std::optional<cli_options> parse_cli(int argc, char** argv) {
       opts.csv = value;
     } else if (flag == "--technique" && (value = need_value(i))) {
       opts.technique = value;
-    } else if (flag == "--space-storage" && (value = need_value(i))) {
-      opts.space_storage = value;
-    } else if (flag == "--chunk-cache-mb" && (value = need_value(i))) {
-      std::uint64_t parsed = 0;
-      if (!parse_u64_flag("--chunk-cache-mb", value, parsed)) {
-        return std::nullopt;
-      }
-      opts.chunk_cache_mb = static_cast<std::size_t>(parsed);
     } else if (flag == "--param" && (value = need_value(i))) {
       opts.params.emplace_back(value);
     } else if (flag == "--evaluations" && (value = need_value(i))) {
@@ -616,21 +594,6 @@ int main(int argc, char** argv) {
 
   atf::tuner tuner;
   tuner.tuning_parameters(std::move(group));
-
-  atf::space_storage_policy storage;
-  if (opts->space_storage == "packed") {
-    storage.backend = atf::space_storage_backend::packed;
-  } else if (opts->space_storage == "lazy") {
-    storage.backend = atf::space_storage_backend::lazy;
-  } else if (opts->space_storage != "dense") {
-    std::fprintf(stderr, "atf_tune: unknown space storage '%s'\n",
-                 opts->space_storage.c_str());
-    return 1;
-  }
-  if (opts->chunk_cache_mb.has_value()) {
-    storage.chunk_cache_bytes = *opts->chunk_cache_mb << 20;
-  }
-  tuner.space_storage(storage);
 
   if (!known_technique(opts->technique)) {
     return 1;
