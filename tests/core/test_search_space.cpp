@@ -1,8 +1,12 @@
 // Multi-group search-space tests: cross-group product, parallel generation
-// determinism, configuration materialization and neighbor moves.
+// determinism, configuration materialization, neighbor moves, and the
+// plain-loop oracle (detail::generate_plain) across groups.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "atf/common/rng.hpp"
 #include "atf/constraint.hpp"
@@ -148,6 +152,75 @@ TEST(SearchSpace, ThreeGroupsMixedRadixDecomposition) {
         EXPECT_EQ(int(config["c"]), vc);
       }
     }
+  }
+}
+
+/// A divides chain the DAG shares (C's list depends only on B) beside an
+/// unconstrained group, so flat indices mix a shared tree with a plain one.
+std::vector<atf::tp_group> chain_and_lane() {
+  auto a = atf::tp("A", atf::interval<std::size_t>(1, 24));
+  auto b = atf::tp("B", atf::interval<std::size_t>(1, 24), atf::divides(a));
+  auto c = atf::tp("C", atf::interval<std::size_t>(1, 8), atf::divides(b));
+  auto lane = atf::tp("LANE", atf::interval<std::size_t>(1, 5));
+  return {atf::G(a, b, c), atf::G(lane)};
+}
+
+TEST(SearchSpace, PlainLoopOracleMatchesTheDagInEveryMode) {
+  const auto groups = chain_and_lane();
+  for (const auto mode : {atf::generation_mode::sequential,
+                          atf::generation_mode::per_group,
+                          atf::generation_mode::intra_group}) {
+    const auto dag = search_space::generate(groups, mode, 3);
+    const auto plain = atf::detail::generate_plain(groups, mode, 3);
+    ASSERT_EQ(plain.size(), dag.size());
+    ASSERT_GT(dag.size(), 0u);
+    EXPECT_EQ(plain.node_count(), dag.node_count());
+    EXPECT_LT(dag.group(0).stats().stored_nodes, dag.group(0).node_count());
+    EXPECT_EQ(plain.group(0).stats().stored_nodes,
+              plain.group(0).node_count());
+
+    search_space::index_decoder dag_decoder(dag);
+    search_space::index_decoder plain_decoder(plain);
+    std::vector<std::uint32_t> dag_indices(dag.num_parameters());
+    std::vector<std::uint32_t> plain_indices(plain.num_parameters());
+    for (std::uint64_t i = 0; i < dag.size(); ++i) {
+      ASSERT_EQ(plain.config_at(i).to_string(), dag.config_at(i).to_string())
+          << i;
+      dag_decoder.value_indices(i, dag_indices.data());
+      plain_decoder.value_indices(i, plain_indices.data());
+      ASSERT_EQ(plain_indices, dag_indices) << i;
+    }
+    EXPECT_EQ(plain_decoder.sibling_steps(), dag_decoder.sibling_steps());
+
+    atf::common::xoshiro256 rng_dag(0x0dd);
+    atf::common::xoshiro256 rng_plain(0x0dd);
+    std::uint64_t at_dag = dag.random_index(rng_dag);
+    std::uint64_t at_plain = plain.random_index(rng_plain);
+    for (int step = 0; step < 300; ++step) {
+      at_dag = dag.random_neighbor(at_dag, rng_dag);
+      at_plain = plain.random_neighbor(at_plain, rng_plain);
+      ASSERT_EQ(at_plain, at_dag) << "step " << step;
+    }
+  }
+}
+
+TEST(SearchSpace, MemoryAndNodesAreSummedOverGroups) {
+  const auto groups = chain_and_lane();
+  for (const bool plain_loop : {false, true}) {
+    const auto space =
+        plain_loop ? atf::detail::generate_plain(
+                         groups, atf::generation_mode::sequential)
+                   : search_space::generate(groups,
+                                            atf::generation_mode::sequential);
+    std::size_t bytes = 0;
+    std::uint64_t nodes = 0;
+    for (std::size_t g = 0; g < space.num_groups(); ++g) {
+      EXPECT_GT(space.group(g).memory_bytes(), 0u) << plain_loop << " " << g;
+      bytes += space.group(g).memory_bytes();
+      nodes += space.group(g).node_count();
+    }
+    EXPECT_EQ(space.memory_bytes(), bytes) << plain_loop;
+    EXPECT_EQ(space.node_count(), nodes) << plain_loop;
   }
 }
 

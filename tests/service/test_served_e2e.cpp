@@ -361,6 +361,26 @@ TEST_F(ServedE2eTest, UnrefinableKeysAreReportedNotQueued) {
   EXPECT_EQ(stats.counters.at("pending"), 0u);
 }
 
+// Request sizes go through the registry's digits-only parser: a sign, a
+// space or an overflowing extent makes the key unrefinable, where stoull
+// would have wrapped "-3" to 2^64-3 and handed the space builder a giant
+// extent.
+TEST_F(ServedE2eTest, SignedOrOverflowingSizesAreUnrefinable) {
+  start_daemon();
+  service_client client(socket_);
+  for (const char* size :
+       {"-3x8x8", "8x+8x8", "8x8x 8", "8x8x18446744073709551616"}) {
+    const auto reply = client.get(xgemm_key(size));
+    EXPECT_TRUE(reply.unrefinable) << size << ": " << reply.raw;
+    EXPECT_NE(reply.raw.find("invalid size component"), std::string::npos)
+        << size << ": " << reply.raw;
+  }
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.counters.at("unrefinable"), 4u);
+  EXPECT_EQ(stats.counters.at("pending"), 0u);
+  EXPECT_EQ(stop_daemon(), 0);
+}
+
 TEST_F(ServedE2eTest, ConcurrentClientsAllGetAnswers) {
   start_daemon();
   const service_key key = xgemm_key("16x16x16");
