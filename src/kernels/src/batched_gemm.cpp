@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "atf/common/math_utils.hpp"
 #include "atf/constraint.hpp"
+#include "atf/kernels/reference.hpp"
 #include "atf/range.hpp"
 #include "ocls/buffer.hpp"
 #include "ocls/error.hpp"
@@ -123,20 +125,15 @@ std::vector<float> make_b(const problem& prob) {
 std::vector<float> reference_gemm(const problem& prob,
                                   const std::vector<float>& a,
                                   const std::vector<float>& b) {
-  std::vector<float> c(prob.batch * prob.m * prob.n, 0.0f);
+  const std::size_t a_size = prob.m * prob.k;
+  const std::size_t b_size = prob.k * prob.n;
+  const std::size_t c_size = prob.m * prob.n;
+  std::vector<float> c(prob.batch * c_size);
   for (std::size_t bt = 0; bt < prob.batch; ++bt) {
-    const float* pa = a.data() + bt * prob.m * prob.k;
-    const float* pb = b.data() + bt * prob.k * prob.n;
-    float* pc = c.data() + bt * prob.m * prob.n;
-    for (std::size_t i = 0; i < prob.m; ++i) {
-      for (std::size_t j = 0; j < prob.n; ++j) {
-        float acc = 0.0f;
-        for (std::size_t kk = 0; kk < prob.k; ++kk) {
-          acc += pa[i * prob.k + kk] * pb[kk * prob.n + j];
-        }
-        pc[i * prob.n + j] = acc;
-      }
-    }
+    reference::gemm(prob.m, prob.n, prob.k,
+                    std::span(a).subspan(bt * a_size, a_size),
+                    std::span(b).subspan(bt * b_size, b_size),
+                    std::span(c).subspan(bt * c_size, c_size));
   }
   return c;
 }

@@ -1,5 +1,6 @@
 #include "atf/kernels/reference.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace atf::kernels::reference {
@@ -17,13 +18,18 @@ void gemm(std::size_t m, std::size_t n, std::size_t k,
   assert(a.size() >= m * k);
   assert(b.size() >= k * n);
   assert(c.size() >= m * n);
+  // i-p-j order: b and c are walked along rows. Each element still sums
+  // a[i][p] * b[p][j] for p ascending from 0.0f, the inner-product loop's
+  // float operations in its order, so the result is bit-identical to it.
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) {
-        acc += a[i * k + p] * b[p * n + j];
+    float* row = c.data() + i * n;
+    std::fill(row, row + n, 0.0f);
+    for (std::size_t p = 0; p < k; ++p) {
+      const float a_ip = a[i * k + p];
+      const float* b_row = b.data() + p * n;
+      for (std::size_t j = 0; j < n; ++j) {
+        row[j] += a_ip * b_row[j];
       }
-      c[i * n + j] = acc;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -19,13 +20,20 @@ namespace atf::service {
 
 socket_server::socket_server(std::string socket_path, handler handle,
                              std::size_t connection_cap,
-                             std::chrono::milliseconds idle)
+                             std::chrono::milliseconds idle,
+                             std::size_t poll_loops)
     : path_(std::move(socket_path)),
       handle_(std::move(handle)),
       connection_cap_(connection_cap),
-      idle_(idle) {}
+      idle_(idle),
+      loop_count_(std::max<std::size_t>(poll_loops, 1)) {}
 
 socket_server::~socket_server() { stop(); }
+
+std::size_t socket_server::default_poll_loops() noexcept {
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                 max_poll_loops);
+}
 
 #if ATF_SERVICE_HAVE_UNIX_SOCKETS
 
@@ -62,6 +70,15 @@ int accept_nonblocking(int listen_fd) {
   }
   return fd;
 #endif
+}
+
+void close_all(std::initializer_list<int*> fds) {
+  for (int* fd : fds) {
+    if (*fd >= 0) {
+      ::close(*fd);
+    }
+    *fd = -1;
+  }
 }
 
 std::string refusal_line(const std::string& reason) {
@@ -158,17 +175,19 @@ void socket_server::start() {
              sizeof(addr)) != 0 ||
       ::listen(listen_fd_, listen_backlog) != 0) {
     const int saved_errno = errno;
-    for (int* fd : {&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]}) {
-      if (*fd >= 0) {
-        ::close(*fd);
-      }
-      *fd = -1;
-    }
+    close_all({&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]});
     throw service_error("socket_server: cannot listen on '" + path_ +
                         "': " + std::strerror(saved_errno));
   }
-  loop_thread_ = std::thread([this] { run(); });
   running_ = true;
+  try {
+    for (std::size_t i = 0; i < loop_count_; ++i) {
+      loops_.emplace_back([this] { run(); });
+    }
+  } catch (...) {
+    stop();  // the loops already started drain at once: nothing is queued
+    throw;
+  }
 }
 
 void socket_server::run() {
@@ -176,6 +195,13 @@ void socket_server::run() {
   std::vector<pollfd> fds;
   bool stopping = false;
   int timeout_ms = -1;  // to the nearest idle deadline; none while no one is up
+
+  // The slot goes back before the close, so a caller that sees its
+  // connection end finds its slot free.
+  const auto close_connection = [this](int fd) {
+    open_.fetch_sub(1, std::memory_order_relaxed);
+    ::close(fd);
+  };
 
   // Accepts up to `limit` queued connections and reads each once right
   // away: a short-lived caller's request usually comes with its connect.
@@ -186,15 +212,17 @@ void socket_server::run() {
         if (errno == EINTR || errno == ECONNABORTED) {
           continue;
         }
-        return;  // drained, or out of descriptors until one closes
+        return;  // drained (maybe by another loop), or out of descriptors
       }
-      if (conns.size() >= connection_cap_) {
+      // Reserve a slot first: loops racing for the last one cannot both
+      // take it, and the one that loses gives it back.
+      if (open_.fetch_add(1, std::memory_order_relaxed) >= connection_cap_) {
         refused_.fetch_add(1, std::memory_order_relaxed);
         const std::string line = refusal_line(
             "too many connections (cap " + std::to_string(connection_cap_) +
             ")");
         (void)::send(fd, line.data(), line.size(), send_flags);
-        ::close(fd);
+        close_connection(fd);
         continue;
       }
       accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -202,7 +230,7 @@ void socket_server::run() {
       conn.fd = fd;
       conn.last_progress = now;
       if (!serve(conn, handle_, now)) {
-        ::close(fd);
+        close_connection(fd);
         conns.pop_back();
       }
     }
@@ -231,12 +259,12 @@ void socket_server::run() {
 
     if (!stopping && fds[0].revents != 0) {
       // The drain: take what is already queued on the listener, stop
-      // accepting, and shut every read side, so each connection ends once
-      // the lines it has already sent are answered.
+      // polling it, and shut every read side, so each connection ends once
+      // the lines it has already sent are answered. The pipe byte stays
+      // unread, so every loop sees it; stop() closes the listener once all
+      // loops are joined.
       stopping = true;
       accept_pending(listen_backlog, now);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
       for (const auto& conn : conns) {
         ::shutdown(conn.fd, SHUT_RD);
       }
@@ -250,7 +278,7 @@ void socket_server::run() {
       const bool ready = i < polled && fds[first_conn + i].revents != 0;
       if ((ready && !serve(conn, handle_, now)) ||
           conn.last_progress + idle_ <= now) {
-        ::close(conn.fd);
+        close_connection(conn.fd);
         conn.fd = -1;
         continue;
       }
@@ -263,11 +291,7 @@ void socket_server::run() {
   }
 
   for (const auto& conn : conns) {
-    ::close(conn.fd);
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    close_connection(conn.fd);
   }
 }
 
@@ -278,10 +302,11 @@ void socket_server::stop() {
   const char byte = 0;
   while (::write(wake_pipe_[1], &byte, 1) < 0 && errno == EINTR) {
   }
-  loop_thread_.join();
-  ::close(wake_pipe_[0]);
-  ::close(wake_pipe_[1]);
-  wake_pipe_[0] = wake_pipe_[1] = -1;
+  for (auto& loop : loops_) {
+    loop.join();
+  }
+  loops_.clear();
+  close_all({&listen_fd_, &wake_pipe_[0], &wake_pipe_[1]});
   ::unlink(path_.c_str());
   running_ = false;
 }

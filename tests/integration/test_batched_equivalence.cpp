@@ -18,7 +18,6 @@
 #include "atf/common/string_utils.hpp"
 #include "atf/kernels/conv2d.hpp"
 #include "atf/kernels/xgemm_direct.hpp"
-#include "atf/search/genetic_search.hpp"
 #include "atf/search/opentuner_search.hpp"
 #include "atf/search/random_search.hpp"
 
@@ -72,12 +71,9 @@ std::vector<std::string> read_rows_without_elapsed(const std::string& path) {
   return rows;
 }
 
-enum class technique_kind { random, genetic, opentuner };
+enum class technique_kind { random, opentuner };
 
 std::unique_ptr<atf::search_technique> make_technique(technique_kind kind) {
-  if (kind == technique_kind::genetic) {
-    return std::make_unique<atf::search::genetic_search>(kSeed);
-  }
   if (kind == technique_kind::opentuner) {
     return std::make_unique<atf::search::opentuner_search>(kSeed);
   }
@@ -154,32 +150,12 @@ TEST(BatchedEquivalence, RandomSearchOnXgemmDirect) {
   }
 }
 
-TEST(BatchedEquivalence, GeneticSearchOnXgemmDirect) {
-  const auto sequential =
-      run_xgemm(atf::evaluation_mode::sequential, 0, technique_kind::genetic);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    const auto batched = run_xgemm(atf::evaluation_mode::batched, workers,
-                                   technique_kind::genetic);
-    expect_equivalent(sequential, batched);
-  }
-}
-
 TEST(BatchedEquivalence, RandomSearchOnConv2d) {
   const auto sequential =
       run_conv2d(atf::evaluation_mode::sequential, 0, technique_kind::random);
   for (const std::size_t workers : {1u, 2u, 4u}) {
     const auto batched = run_conv2d(atf::evaluation_mode::batched, workers,
                                     technique_kind::random);
-    expect_equivalent(sequential, batched);
-  }
-}
-
-TEST(BatchedEquivalence, GeneticSearchOnConv2d) {
-  const auto sequential =
-      run_conv2d(atf::evaluation_mode::sequential, 0, technique_kind::genetic);
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    const auto batched = run_conv2d(atf::evaluation_mode::batched, workers,
-                                    technique_kind::genetic);
     expect_equivalent(sequential, batched);
   }
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -168,6 +169,38 @@ TEST(BatchedGemmModel, OversizedStagingRejectedAtLaunch) {
   EXPECT_THROW((void)queue.launch(bg::make_kernel(), bg::launch_range(prob, p),
                                   {}, bg::make_defines(prob, p)),
                ocls::out_of_resources);
+}
+
+TEST(BatchedGemmReference, EachBatchIsTheInnerProductLoop) {
+  const bg::problem prob{3, 37, 29, 53};
+  // Operands with full mantissas, so the order of the additions shows.
+  std::vector<float> a(prob.batch * prob.m * prob.k);
+  std::vector<float> b(prob.batch * prob.k * prob.n);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = 1.0f / static_cast<float>(i + 3);
+  }
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    b[i] = 1.0f - 2.0f / static_cast<float>(i + 7);
+  }
+  std::vector<float> expected(prob.batch * prob.m * prob.n);
+  for (std::size_t bt = 0; bt < prob.batch; ++bt) {
+    const float* pa = a.data() + bt * prob.m * prob.k;
+    const float* pb = b.data() + bt * prob.k * prob.n;
+    float* pc = expected.data() + bt * prob.m * prob.n;
+    for (std::size_t i = 0; i < prob.m; ++i) {
+      for (std::size_t j = 0; j < prob.n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t kk = 0; kk < prob.k; ++kk) {
+          acc += pa[i * prob.k + kk] * pb[kk * prob.n + j];
+        }
+        pc[i * prob.n + j] = acc;
+      }
+    }
+  }
+  const auto c = bg::reference_gemm(prob, a, b);
+  ASSERT_EQ(c.size(), expected.size());
+  EXPECT_EQ(
+      std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)), 0);
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 // Tests for the XgemmDirect workload: the 10-parameter/17-constraint space
 // against the standalone validity oracle, launch geometry in both size
 // modes, functional correctness against the reference GEMM (including
-// ceil-rounded tails), and performance-model sanity properties.
+// ceil-rounded tails), the reference GEMM's bit-identity with the
+// inner-product loop, and performance-model sanity properties.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "atf/kernels/reference.hpp"
 #include "atf/kernels/xgemm_direct.hpp"
@@ -381,6 +385,45 @@ TEST(XgemmModel, UnconstrainedRangeSizes) {
   EXPECT_EQ(tops[9], 2u);    // PADB
   const auto capped = xg::unconstrained_range_sizes({20, 576, 25}, 64);
   EXPECT_EQ(capped[0], 64u);
+}
+
+// Full-mantissa operands in [-1, 1), where a change in the order of the
+// float additions shows in the low bits.
+std::vector<float> mixed_floats(std::size_t count, std::uint64_t seed) {
+  std::vector<float> values(count);
+  for (auto& value : values) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    value = static_cast<float>(seed >> 40) / float(1 << 23) - 1.0f;
+  }
+  return values;
+}
+
+TEST(ReferenceGemm, BitIdenticalToTheInnerProductLoop) {
+  struct shape {
+    std::size_t m, n, k;
+  };
+  for (const shape s : {shape{128, 128, 256}, shape{128, 256, 128},
+                        shape{256, 128, 128}, shape{64, 64, 64},
+                        shape{37, 29, 53}}) {
+    const auto a = mixed_floats(s.m * s.k, 1);
+    const auto b = mixed_floats(s.k * s.n, 2);
+    // The i-j-p loop with one add chain per element.
+    std::vector<float> expected(s.m * s.n);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < s.k; ++p) {
+          acc += a[i * s.k + p] * b[p * s.n + j];
+        }
+        expected[i * s.n + j] = acc;
+      }
+    }
+    std::vector<float> c(s.m * s.n, 7.0f);  // overwritten, not added to
+    atf::kernels::reference::gemm(s.m, s.n, s.k, a, b, c);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(float)),
+              0)
+        << s.m << "x" << s.n << "x" << s.k;
+  }
 }
 
 }  // namespace

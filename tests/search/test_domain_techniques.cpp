@@ -3,8 +3,10 @@
 // functions with known optima.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "atf/search/auc_bandit.hpp"
 #include "atf/search/ensemble.hpp"
@@ -186,6 +188,39 @@ TEST(Genetic, ElitesSurviveGenerations) {
     technique.report(static_cast<double>(p[0]));
   }
   EXPECT_TRUE(elite_seen);
+}
+
+TEST(Genetic, BatchedPointsMatchTheSequentialStream) {
+  // One generation is the natural batch: proposing and reporting whole
+  // batches, at any width, must visit the points the one-at-a-time
+  // interface visits, in the same order.
+  numeric_domain domain({256, 256});
+  const auto cost = [](const point& p) { return sphere(p, {200.0, 30.0}); };
+  constexpr std::size_t kBudget = 300;
+  genetic sequential;
+  sequential.initialize(domain, 41);
+  std::vector<point> expected;
+  while (expected.size() < kBudget) {
+    expected.push_back(sequential.next_point());
+    sequential.report(cost(expected.back()));
+  }
+  for (const std::size_t width : {1u, 3u, 64u}) {
+    genetic batched;
+    batched.initialize(domain, 41);
+    std::vector<point> visited;
+    while (visited.size() < kBudget) {
+      const auto batch = batched.propose_points(
+          std::min({width, batched.max_batch(), kBudget - visited.size()}));
+      ASSERT_FALSE(batch.empty());
+      std::vector<double> costs;
+      for (const point& p : batch) {
+        visited.push_back(p);
+        costs.push_back(cost(p));
+      }
+      batched.report_points(costs);
+    }
+    EXPECT_EQ(visited, expected) << "width " << width;
+  }
 }
 
 TEST(ParticleSwarm, ConvergesOnSphere) {

@@ -1,18 +1,26 @@
 // The socket_server transport in-process, with a stub handler: line
 // framing, the connection cap, the idle timeout, backpressure against a
-// client that never reads, and the stop() drain. Every test opens at most
-// cap + 1 sockets at once.
+// client that never reads, and the stop() drain, on the default loop count
+// and, where callers race across loops, on 3 poll loops. Every test opens
+// at most cap + 1 sockets at once.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <barrier>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <future>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <sys/socket.h>
@@ -99,6 +107,14 @@ public:
   /// True when the server closed the connection with nothing left unread.
   bool at_end() { return buffer_.empty() && !fill() && eof_; }
 
+  /// Like at_end(), but also true when the server closed with bytes this
+  /// client sent still unread: a Unix socket then reports ECONNRESET
+  /// instead of end of stream.
+  bool closed_by_server() {
+    errno = 0;
+    return at_end() || (buffer_.empty() && errno == ECONNRESET);
+  }
+
   std::string round_trip(const std::string& line) {
     if (!send_all(line + "\n")) {
       return "<send failed>";
@@ -123,6 +139,8 @@ private:
   bool eof_ = false;
   std::string buffer_;
 };
+
+constexpr std::size_t kLoops = 3;  // for the cases that race loops
 
 /// Echoes each line back prefixed with "re:" and counts the calls.
 struct echo_handler {
@@ -329,6 +347,205 @@ TEST(SocketServer, StopDoesNotWaitForIdleConnections) {
   idle.close();  // so a drain that waits for the client still ends
   stopper.join();
   EXPECT_EQ(::access(server.path().c_str(), F_OK), -1);  // socket unlinked
+}
+
+TEST(SocketServer, CapIsExactWhenCallersRaceAcrossLoops) {
+  std::atomic<int> calls{0};
+  socket_server server(socket_path(), echo_handler{&calls},
+                       /*connection_cap=*/2, socket_server::idle_timeout,
+                       kLoops);
+  server.start();
+  ASSERT_EQ(server.poll_loops(), kLoops);
+
+  // Each round, three callers connect at once and hold their connections
+  // until all three have an answer, so the round's three reservations
+  // overlap. Then a served caller half-closes and waits for the server's
+  // close, a refused one waits for the close after its refusal line:
+  // either way its slot is free before the next round starts.
+  constexpr int kRounds = 200;
+  constexpr int kCallers = 3;
+  constexpr const char* kRefusal =
+      R"x({"ok":false,"error":"too many connections (cap 2)"})x";
+  enum outcome { served, refused, broken };
+  std::array<std::array<outcome, kRounds>, kCallers> outcomes{};
+  std::barrier in_step(kCallers);
+  const auto caller = [&](int id) {
+    for (int round = 0; round < kRounds; ++round) {
+      in_step.arrive_and_wait();
+      raw_client client(server.path());
+      const std::string line = "c" + std::to_string(id);
+      outcome& out = outcomes[id][round];
+      out = broken;
+      // A refused caller's send may find the connection already closed;
+      // its refusal line is still there to read.
+      (void)client.send_all(line + "\n");
+      const auto reply = client.read_line();
+      in_step.arrive_and_wait();  // all three connections are answered
+      if (reply == "re:" + line) {
+        ::shutdown(client.fd(), SHUT_WR);
+        if (client.at_end()) {
+          out = served;
+        }
+      } else if (reply == kRefusal && client.closed_by_server()) {
+        out = refused;
+      }
+      client.close();
+      in_step.arrive_and_wait();  // every slot of this round is free
+    }
+  };
+  std::vector<std::thread> callers;
+  for (int id = 0; id < kCallers; ++id) {
+    callers.emplace_back(caller, id);
+  }
+  for (auto& thread : callers) {
+    thread.join();
+  }
+
+  for (int round = 0; round < kRounds; ++round) {
+    int served_count = 0;
+    int refused_count = 0;
+    for (int id = 0; id < kCallers; ++id) {
+      served_count += outcomes[id][round] == served;
+      refused_count += outcomes[id][round] == refused;
+    }
+    EXPECT_EQ(served_count, 2) << "round " << round;
+    EXPECT_EQ(refused_count, 1) << "round " << round;
+  }
+  server.stop();
+  EXPECT_EQ(server.connections_accepted() + server.connections_refused(),
+            std::uint64_t{kRounds * kCallers});
+  EXPECT_EQ(server.connections_refused(), std::uint64_t{kRounds});
+}
+
+TEST(SocketServer, StopAnswersEveryReceivedLineOnEveryLoop) {
+  // Each caller's first line is answered by a loop that is not held, which
+  // then owns the connection; its "slow" second line holds that loop until
+  // released. So the kLoops callers below end up on kLoops different loops,
+  // each held while serving a connection, not inside an accept pass, and
+  // the caller queued after them is accepted only by the drain. The slow
+  // replies are larger than the socket buffers.
+  const std::string big_reply(2 << 20, 'y');
+  std::mutex mutex;
+  std::condition_variable changed;
+  std::size_t entered = 0;
+  bool released = false;
+  socket_server server(
+      socket_path(),
+      [&](const std::string& line) {
+        if (line.starts_with("slow")) {
+          std::unique_lock lock(mutex);
+          ++entered;
+          changed.notify_all();
+          changed.wait(lock, [&] { return released; });
+          return line + big_reply;
+        }
+        return "re:" + line;
+      },
+      socket_server::max_connections, socket_server::idle_timeout, kLoops);
+  server.start();
+
+  std::vector<std::unique_ptr<raw_client>> clients;
+  for (std::size_t i = 0; i < kLoops; ++i) {
+    const std::string tag = std::to_string(i);
+    clients.push_back(std::make_unique<raw_client>(server.path()));
+    ASSERT_EQ(clients.back()->round_trip("hi" + tag), "re:hi" + tag);
+    ASSERT_TRUE(clients.back()->send_all("slow" + tag + "\n"));
+    std::unique_lock lock(mutex);
+    ASSERT_TRUE(changed.wait_for(lock, 10s, [&] { return entered == i + 1; }))
+        << "no free loop took caller " << i;
+  }
+  // Every loop is busy: this caller waits on the listener with its line.
+  raw_client queued(server.path());
+  ASSERT_TRUE(queued.send_all("waiting\n"));
+  // Received while the handlers run, so still in the sockets at stop().
+  for (std::size_t i = 0; i < kLoops; ++i) {
+    ASSERT_TRUE(clients[i]->send_all("after" + std::to_string(i) + "\n"));
+  }
+  std::thread stopper([&] { server.stop(); });
+  std::this_thread::sleep_for(50ms);  // stop() is waiting on the drain
+  {
+    std::lock_guard lock(mutex);
+    released = true;
+  }
+  changed.notify_all();
+
+  for (std::size_t i = 0; i < kLoops; ++i) {
+    const std::string tag = std::to_string(i);
+    const auto slow = clients[i]->read_line();
+    ASSERT_TRUE(slow.has_value()) << "caller " << i;
+    EXPECT_EQ(slow->size(), 5 + big_reply.size());
+    EXPECT_EQ(*slow, "slow" + tag + big_reply);
+    EXPECT_EQ(clients[i]->read_line(), "re:after" + tag);
+    EXPECT_TRUE(clients[i]->at_end());
+    clients[i]->close();
+  }
+  EXPECT_EQ(queued.read_line(), "re:waiting");
+  EXPECT_TRUE(queued.at_end());
+  queued.close();
+  stopper.join();
+  EXPECT_EQ(server.connections_accepted(), kLoops + 1);
+}
+
+TEST(SocketServer, LoopsShareTheCallersAndEachReplyReachesItsCaller) {
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  socket_server server(
+      socket_path(),
+      [&](const std::string& line) {
+        {
+          std::lock_guard lock(mutex);
+          threads.insert(std::this_thread::get_id());
+        }
+        if (line == "hold") {
+          entered.set_value();
+          released.wait();
+          return std::string("held");
+        }
+        return "re:" + line;
+      },
+      socket_server::max_connections, socket_server::idle_timeout, kLoops);
+  server.start();
+
+  // One loop is held, so every caller below is answered by another one.
+  raw_client holder(server.path());
+  ASSERT_TRUE(holder.send_all("hold\n"));
+  entered.get_future().wait();
+
+  constexpr int kThreads = 4;
+  constexpr int kConnections = 25;
+  constexpr int kLines = 4;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int c = 0; c < kConnections; ++c) {
+        raw_client client(server.path());
+        for (int l = 0; l < kLines; ++l) {
+          const std::string line = "t" + std::to_string(t) + "c" +
+                                   std::to_string(c) + "l" +
+                                   std::to_string(l);
+          if (client.round_trip(line) != "re:" + line) {
+            wrong.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : callers) {
+    thread.join();
+  }
+  release.set_value();
+  EXPECT_EQ(holder.read_line(), "held");
+  server.stop();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(server.connections_accepted(),
+            std::uint64_t{kThreads * kConnections + 1});
+  std::lock_guard lock(mutex);
+  EXPECT_GE(threads.size(), 2u);
 }
 
 }  // namespace

@@ -343,10 +343,12 @@ int main(int argc, char** argv) {
     server.stop();    // finish in-flight replies, close the socket
     std::fprintf(stderr,
                  "atf_served: signal %d, drained; %llu connection(s) "
-                 "accepted, %llu refused at the cap of %zu\n",
+                 "accepted over %zu poll loops, %llu refused at the cap of "
+                 "%zu\n",
                  static_cast<int>(received_signal),
                  static_cast<unsigned long long>(
                      server.connections_accepted()),
+                 server.poll_loops(),
                  static_cast<unsigned long long>(server.connections_refused()),
                  atf::service::socket_server::max_connections);
     service.stop();   // finish the in-flight refinement
