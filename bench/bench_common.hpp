@@ -68,17 +68,6 @@ inline double measure(const xg::problem& prob, const xg::params& p,
   }
 }
 
-/// Decodes a baseline tuner's result (knob name -> integer value).
-template <typename Values>
-xg::params params_from_values(const Values& values) {
-  xg::params p;
-  xg::visit_knobs(p, [&](const char* name, auto& field) {
-    field = static_cast<std::remove_reference_t<decltype(field)>>(
-        values.at(name));
-  });
-  return p;
-}
-
 struct atf_outcome {
   xg::params best;
   double best_ns;
@@ -101,7 +90,8 @@ inline atf_outcome tune_with_atf(const xg::problem& prob,
   const auto& space = tuner.space();
 
   auto cost = [&](const atf::configuration& config) {
-    const double ns = measure(prob, xg::params_from(config), dev, mode);
+    const double ns =
+        measure(prob, atf::kernels::params_from<xg::params>(config), dev, mode);
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }
@@ -119,7 +109,8 @@ inline atf_outcome tune_with_atf(const xg::problem& prob,
     out.evaluations += result.evaluations;
     if (result.has_best() && *result.best_cost < best) {
       best = *result.best_cost;
-      out.best = xg::params_from(result.best_configuration());
+      out.best =
+          atf::kernels::params_from<xg::params>(result.best_configuration());
       out.best_ns = best;
     }
   };
@@ -238,7 +229,7 @@ inline xg::params cltune_device_optimized(const ocls::device& dev) {
   auto tuner = make_clblast_cltune_program(avg, dev);
   tuner.UseFullSearch();
   tuner.Tune();
-  return params_from_values(tuner.GetBestResult());
+  return atf::kernels::params_from_values<xg::params>(tuner.GetBestResult());
 }
 
 struct opentuner_outcome {
@@ -272,7 +263,7 @@ inline opentuner_outcome tune_with_opentuner(const xg::problem& prob,
   const double penalty = 1e15;  // "we report a penalty value" [3]
   const auto limits = xg::device_limits::of(dev.profile());
   auto cost = [&](const baselines::opentuner::configuration& c) {
-    const xg::params p = params_from_values(c);
+    const xg::params p = atf::kernels::params_from_values<xg::params>(c);
     if (!xg::valid(prob, p, xg::size_mode::general, limits)) {
       return penalty;
     }
@@ -287,7 +278,7 @@ inline opentuner_outcome tune_with_opentuner(const xg::problem& prob,
   out.valid_evaluations = result.valid_evaluations;
   out.unconstrained_size = tuner.space_size();
   if (result.found_valid) {
-    out.used = params_from_values(result.best);
+    out.used = atf::kernels::params_from_values<xg::params>(result.best);
   } else {
     out.used = xg::params::defaults();
   }

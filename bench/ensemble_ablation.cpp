@@ -71,7 +71,7 @@ int main() {
 
     auto cost = [&](std::uint64_t index) {
       const auto config = space.config_at(index);
-      return measure(prob, xg::params_from(config), dev,
+      return measure(prob, atf::kernels::params_from<xg::params>(config), dev,
                      xg::size_mode::general);
     };
 

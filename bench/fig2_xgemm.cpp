@@ -56,7 +56,8 @@ int main() {
         auto program = make_clblast_cltune_program(prob, *dev);
         program.UseFullSearch();
         program.Tune();
-        cltune_used = params_from_values(program.GetBestResult());
+        cltune_used = atf::kernels::params_from_values<xg::params>(
+            program.GetBestResult());
       } catch (const baselines::cltune::empty_space&) {
         cltune_space_empty = true;  // fall back to device-optimized values
       }

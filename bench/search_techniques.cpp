@@ -28,10 +28,9 @@ void saxpy_comparison() {
   auto ctx = std::make_shared<ocls::context>(gpu);
 
   auto cost = [&](const atf::configuration& config) {
-    const std::size_t wpt = config["WPT"];
-    const std::size_t ls = config["LS"];
-    ocls::define_map defines;
-    defines.set("WPT", static_cast<std::uint64_t>(wpt));
+    const auto p =
+        atf::kernels::params_from<atf::kernels::saxpy::params>(config);
+    const ocls::define_map defines = atf::kernels::saxpy::make_defines(n, p);
     ocls::command_queue queue(ctx);
     ocls::kernel_args args;
     args.emplace_back(static_cast<double>(n));
@@ -42,8 +41,8 @@ void saxpy_comparison() {
     args.emplace_back(y);
     try {
       return queue
-          .launch(kernel, atf::kernels::saxpy::launch_range(n, wpt, ls), args,
-                  defines)
+          .launch(kernel, atf::kernels::saxpy::launch_range(n, p.wpt, p.ls),
+                  args, defines)
           .profile_ns();
     } catch (const ocls::error& error) {
       throw atf::evaluation_error(error.what());
@@ -92,7 +91,8 @@ void gemm_comparison() {
 
   auto cost = [&](const atf::configuration& config) {
     const double ns =
-        measure(prob, xg::params_from(config), gpu, xg::size_mode::general);
+        measure(prob, atf::kernels::params_from<xg::params>(config), gpu,
+                xg::size_mode::general);
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }

@@ -173,7 +173,7 @@ bool xgemm_comparison() {
   auto cost = [&](const atf::configuration& config) {
     // Failed launches surface as the +infinity penalty and train the
     // surrogate's invalid classifier head.
-    return measure(prob, xg::params_from(config), gpu,
+    return measure(prob, atf::kernels::params_from<xg::params>(config), gpu,
                    xg::size_mode::general);
   };
   return compare_on("XgemmDirect IS4", make_tuner, cost, 600, /*gated=*/true);
@@ -204,14 +204,7 @@ bool conv2d_comparison() {
     return tuner;
   };
   auto cost = [&](const atf::configuration& config) -> double {
-    cv::params p;
-    p.tbx = config["TBX"];
-    p.tby = config["TBY"];
-    p.lx = config["LX"];
-    p.ly = config["LY"];
-    p.vecx = config["VECX"];
-    p.unroll = config["UNROLL"];
-    p.use_lmem = config["USE_LMEM"];
+    const auto p = atf::kernels::params_from<cv::params>(config);
     ocls::command_queue queue(ctx);
     try {
       return queue

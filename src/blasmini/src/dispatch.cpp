@@ -115,7 +115,7 @@ std::optional<xg::params> params_from_tuning_record(
   if (!complete) {
     return std::nullopt;
   }
-  return xg::params_from(config);
+  return atf::kernels::params_from<xg::params>(config);
 }
 
 }  // namespace

@@ -15,12 +15,8 @@ namespace {
 /// Appends the defaults' measurement to the journal at `path` unless an
 /// earlier run already journaled that configuration.
 void journal_defaults(const std::string& path, double time_ns) {
-  atf::configuration config;
-  xg::visit_knobs(xg::params::defaults(),
-                  [&](const char* name, const auto& value) {
-                    config.add(name, atf::to_tp_value(value));
-                  });
-  auto record = atf::session::tuning_record::from_configuration(config);
+  auto record = atf::session::tuning_record::from_configuration(
+      atf::kernels::to_configuration(xg::params::defaults()));
   const auto session = atf::session::tuning_session::open(path);
   if (session->store().contains(record.config_hash)) {
     return;
@@ -90,7 +86,7 @@ xg::params gemm_executor::tune(std::size_t m, std::size_t n, std::size_t k,
       return defaults;
     }
   }
-  return xg::params_from(outcome.best);
+  return atf::kernels::params_from<xg::params>(outcome.best);
 }
 
 double gemm_executor::modeled_time_ns(std::size_t m, std::size_t n,

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -52,9 +53,20 @@ struct params {
   std::uint64_t ku = 1;
   bool lmem_ab = false;
 
-  [[nodiscard]] static params from_defines(const ocls::define_map& defines);
-  void to_defines(ocls::define_map& defines) const;
+  friend bool operator==(const params&, const params&) = default;
 };
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("TM", p.tm);
+  visit("TN", p.tn);
+  visit("BPW", p.bpw);
+  visit("VECN", p.vecn);
+  visit("KU", p.ku);
+  visit("LMEM_AB", p.lmem_ab);
+}
 
 struct tuning_setup {
   atf::tp<std::uint64_t> tm, tn, vecn;  ///< register-tile knobs

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -53,9 +54,21 @@ struct params {
   std::uint64_t unroll = 1;
   bool use_lmem = true;
 
-  [[nodiscard]] static params from_defines(const ocls::define_map& defines);
-  void to_defines(ocls::define_map& defines) const;
+  friend bool operator==(const params&, const params&) = default;
 };
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("TBX", p.tbx);
+  visit("TBY", p.tby);
+  visit("LX", p.lx);
+  visit("LY", p.ly);
+  visit("VECX", p.vecx);
+  visit("UNROLL", p.unroll);
+  visit("USE_LMEM", p.use_lmem);
+}
 
 struct tuning_setup {
   atf::tp<std::uint64_t> tbx, lx, vecx;  ///< x group

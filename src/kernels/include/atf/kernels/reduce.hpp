@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/kernel.hpp"
 #include "ocls/ndrange.hpp"
@@ -24,7 +26,18 @@ struct params {
   std::uint64_t ls = 128;
   std::uint64_t wpt = 4;
   std::uint64_t unroll = 1;
+
+  friend bool operator==(const params&, const params&) = default;
 };
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("LS", p.ls);
+  visit("WPT", p.wpt);
+  visit("UNROLL", p.unroll);
+}
 
 struct tuning_setup {
   atf::tp<std::uint64_t> ls, wpt, unroll;
@@ -39,6 +52,9 @@ struct tuning_setup {
 [[nodiscard]] std::size_t num_groups(std::size_t n, const params& p);
 
 [[nodiscard]] ocls::nd_range launch_range(std::size_t n, const params& p);
+
+/// N plus the knobs.
+[[nodiscard]] ocls::define_map make_defines(std::size_t n, const params& p);
 
 /// Kernel args: (N scalar, in buffer, partials buffer with >= num_groups
 /// elements).

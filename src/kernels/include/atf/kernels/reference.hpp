@@ -17,4 +17,10 @@ void gemm(std::size_t m, std::size_t n, std::size_t k,
           std::span<const float> a, std::span<const float> b,
           std::span<float> c);
 
+/// True when `got` and `want` have the same length and every element of
+/// `got` lies within `tolerance` of its counterpart. A NaN on either side
+/// fails, so a kernel that writes NaN never passes a reference check.
+[[nodiscard]] bool matches(std::span<const float> got,
+                           std::span<const float> want, float tolerance);
+
 }  // namespace atf::kernels::reference

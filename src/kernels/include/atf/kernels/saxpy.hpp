@@ -9,12 +9,30 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/kernel.hpp"
 #include "ocls/ndrange.hpp"
 
 namespace atf::kernels::saxpy {
+
+/// One concrete configuration of the two parameters.
+struct params {
+  std::uint64_t wpt = 1;
+  std::uint64_t ls = 1;
+
+  friend bool operator==(const params&, const params&) = default;
+};
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("WPT", p.wpt);
+  visit("LS", p.ls);
+}
 
 /// The tuning parameters of the ATF program in Listing 2, wired with the
 /// paper's constraints. The returned tps share state with the group, so
@@ -32,6 +50,9 @@ struct tuning_setup {
 /// Launch geometry: global size n / wpt, local size ls.
 [[nodiscard]] ocls::nd_range launch_range(std::size_t n, std::size_t wpt,
                                           std::size_t ls);
+
+/// N plus the knobs, as the cost function "compiles" the kernel.
+[[nodiscard]] ocls::define_map make_defines(std::size_t n, const params& p);
 
 /// The simulated kernel: functional body (args: N scalar, a scalar, x buffer,
 /// y buffer; defines: WPT) plus the analytical performance model.

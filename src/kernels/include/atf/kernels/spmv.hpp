@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -64,9 +65,18 @@ struct params {
   std::uint64_t rpb = 1;
   std::uint64_t unroll = 1;
 
-  [[nodiscard]] static params from_defines(const ocls::define_map& defines);
-  void to_defines(ocls::define_map& defines) const;
+  friend bool operator==(const params&, const params&) = default;
 };
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("VW", p.vw);
+  visit("WG", p.wg);
+  visit("RPB", p.rpb);
+  visit("UNROLL", p.unroll);
+}
 
 struct tuning_setup {
   atf::tp<std::uint64_t> vw, wg;      ///< occupancy-coupled pair

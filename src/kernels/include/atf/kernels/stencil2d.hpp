@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -56,9 +57,21 @@ struct params {
   std::uint64_t unroll = 1;
   bool halo_lmem = true;
 
-  [[nodiscard]] static params from_defines(const ocls::define_map& defines);
-  void to_defines(ocls::define_map& defines) const;
+  friend bool operator==(const params&, const params&) = default;
 };
+
+/// The knob table (atf/kernels/knobs.hpp).
+template <typename Params, typename Visit>
+  requires std::same_as<std::remove_cvref_t<Params>, params>
+void visit_knobs(Params&& p, Visit&& visit) {
+  visit("TX", p.tx);
+  visit("TY", p.ty);
+  visit("LX", p.lx);
+  visit("LY", p.ly);
+  visit("VEC", p.vec);
+  visit("UNROLL", p.unroll);
+  visit("HALO_LMEM", p.halo_lmem);
+}
 
 struct tuning_setup {
   atf::tp<std::uint64_t> tx, lx, vec;  ///< x-edge divides-chain

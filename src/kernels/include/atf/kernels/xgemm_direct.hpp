@@ -37,7 +37,7 @@
 #include <string>
 #include <type_traits>
 
-#include "atf/configuration.hpp"
+#include "atf/kernels/knobs.hpp"
 #include "atf/tp.hpp"
 #include "ocls/device.hpp"
 #include "ocls/kernel.hpp"
@@ -74,14 +74,14 @@ struct params {
   /// average" (paper, Section VI-B: WGD=8, KWID=1, ...).
   [[nodiscard]] static params defaults() { return params{}; }
 
-  [[nodiscard]] static params from_defines(const ocls::define_map& defines);
-  void to_defines(ocls::define_map& defines) const;
-  [[nodiscard]] std::string to_string() const;
+  [[nodiscard]] std::string to_string() const;  ///< "-DKWID=1 -DMDIMAD=8 ..."
+
+  friend bool operator==(const params&, const params&) = default;
 };
 
-/// Calls visit(name, field) once per knob, in declaration order — the one
-/// place that maps the ten knob names onto params fields. `p` may be const
-/// or a temporary.
+/// The knob table (atf/kernels/knobs.hpp): calls visit(name, field) once per
+/// knob, in declaration order — the one place that maps the ten knob names
+/// onto params fields. `p` may be const or a temporary.
 template <typename Params, typename Visit>
   requires std::same_as<std::remove_cvref_t<Params>, params>
 void visit_knobs(Params&& p, Visit&& visit) {
@@ -96,10 +96,6 @@ void visit_knobs(Params&& p, Visit&& visit) {
   visit("PADA", p.pada);
   visit("PADB", p.padb);
 }
-
-/// Decodes a configuration of the tuning parameters below. Throws
-/// std::out_of_range when a knob is missing.
-[[nodiscard]] params params_from(const atf::configuration& config);
 
 /// How the launch geometry treats matrix extents that WGD does not divide.
 enum class size_mode {

@@ -13,26 +13,6 @@
 
 namespace atf::kernels::batched_gemm {
 
-params params::from_defines(const ocls::define_map& defines) {
-  params p;
-  p.tm = defines.get_uint("TM");
-  p.tn = defines.get_uint("TN");
-  p.bpw = defines.get_uint("BPW");
-  p.vecn = defines.get_uint("VECN");
-  p.ku = defines.get_uint("KU");
-  p.lmem_ab = defines.get_bool("LMEM_AB");
-  return p;
-}
-
-void params::to_defines(ocls::define_map& defines) const {
-  defines.set("TM", tm);
-  defines.set("TN", tn);
-  defines.set("BPW", bpw);
-  defines.set("VECN", vecn);
-  defines.set("KU", ku);
-  defines.set("LMEM_AB", lmem_ab);
-}
-
 namespace {
 
 std::size_t staged_bytes(const problem& prob, std::uint64_t bpw) {
@@ -200,7 +180,7 @@ ocls::perf_estimate model(const ocls::nd_range& range,
   const double m = static_cast<double>(defines.get_uint("M"));
   const double n = static_cast<double>(defines.get_uint("N"));
   const double k = static_cast<double>(defines.get_uint("K"));
-  const params p = params::from_defines(defines);
+  const params p = from_defines<params>(defines);
 
   const double num_wgs =
       static_cast<double>(range.global[0] / range.local[0]);
@@ -264,7 +244,7 @@ ocls::define_map make_defines(const problem& prob, const params& p) {
   defines.set("M", static_cast<std::uint64_t>(prob.m));
   defines.set("N", static_cast<std::uint64_t>(prob.n));
   defines.set("K", static_cast<std::uint64_t>(prob.k));
-  p.to_defines(defines);
+  to_defines(p, defines);
   return defines;
 }
 

@@ -11,28 +11,6 @@
 
 namespace atf::kernels::conv2d {
 
-params params::from_defines(const ocls::define_map& defines) {
-  params p;
-  p.tbx = defines.get_uint("TBX");
-  p.tby = defines.get_uint("TBY");
-  p.lx = defines.get_uint("LX");
-  p.ly = defines.get_uint("LY");
-  p.vecx = defines.get_uint("VECX");
-  p.unroll = defines.get_uint("UNROLL");
-  p.use_lmem = defines.get_bool("USE_LMEM");
-  return p;
-}
-
-void params::to_defines(ocls::define_map& defines) const {
-  defines.set("TBX", tbx);
-  defines.set("TBY", tby);
-  defines.set("LX", lx);
-  defines.set("LY", ly);
-  defines.set("VECX", vecx);
-  defines.set("UNROLL", unroll);
-  defines.set("USE_LMEM", use_lmem);
-}
-
 namespace {
 
 std::size_t staged_tile_bytes(std::uint64_t tbx, std::uint64_t tby,
@@ -170,7 +148,7 @@ ocls::perf_estimate model(const ocls::nd_range& range,
   const double w = static_cast<double>(defines.get_uint("W"));
   const double r = static_cast<double>(defines.get_uint("R"));
   const double s = static_cast<double>(defines.get_uint("S"));
-  const params p = params::from_defines(defines);
+  const params p = from_defines<params>(defines);
 
   const double h_out = h - r + 1;
   const double w_out = w - s + 1;
@@ -242,7 +220,7 @@ ocls::define_map make_defines(const problem& prob, const params& p) {
   defines.set("W", static_cast<std::uint64_t>(prob.width));
   defines.set("R", static_cast<std::uint64_t>(prob.filter_height));
   defines.set("S", static_cast<std::uint64_t>(prob.filter_width));
-  p.to_defines(defines);
+  to_defines(p, defines);
   return defines;
 }
 

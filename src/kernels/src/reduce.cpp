@@ -35,6 +35,13 @@ ocls::nd_range launch_range(std::size_t n, const params& p) {
   return ocls::nd_range::d1(num_groups(n, p) * p.ls, p.ls);
 }
 
+ocls::define_map make_defines(std::size_t n, const params& p) {
+  ocls::define_map defines;
+  defines.set("N", static_cast<std::uint64_t>(n));
+  to_defines(p, defines);
+  return defines;
+}
+
 namespace {
 
 void body(const ocls::nd_item& item, const ocls::kernel_args& args,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace atf::kernels::reference {
 
@@ -32,6 +33,16 @@ void gemm(std::size_t m, std::size_t n, std::size_t k,
       }
     }
   }
+}
+
+bool matches(std::span<const float> got, std::span<const float> want,
+             float tolerance) {
+  if (got.size() != want.size()) return false;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    // "<=" rather than ">": every comparison with NaN is false.
+    if (!(std::abs(got[i] - want[i]) <= tolerance)) return false;
+  }
+  return true;
 }
 
 }  // namespace atf::kernels::reference

@@ -1,10 +1,11 @@
 #include "atf/kernels/registry.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <memory>
-#include <numeric>
-#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -82,540 +83,394 @@ std::string input_size::to_string() const {
 
 namespace {
 
-void expect_dims(const std::string& kernel, const std::string& dim_names,
-                 const input_size& size, std::size_t count) {
-  if (size.dims.size() != count) {
-    throw std::invalid_argument("kernel '" + kernel + "' expects a size of "
-                                "the form " + dim_names + " (" +
-                                std::to_string(count) + " dimensions), got '" +
-                                size.to_string() + "'");
-  }
-}
+using dims = std::vector<std::uint64_t>;
 
-/// Launches model-only (no args needed: the analytic models never touch
-/// buffers); ocls launch failures become failed evaluations.
-double model_launch(ocls::command_queue& queue, const ocls::kernel& k,
-                    const ocls::nd_range& range,
-                    const ocls::define_map& defines) {
-  try {
-    return queue.launch(k, range, {}, defines).profile_ns();
-  } catch (const ocls::error& e) {
-    throw atf::evaluation_error(e.what());
-  }
-}
+/// Runs a family's kernel functionally, once, on the given args.
+using launcher = std::function<void(const ocls::kernel_args&)>;
 
-bool matches(std::span<const float> got, std::span<const float> want,
-             float tolerance = 1e-4f) {
-  if (got.size() != want.size()) return false;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (std::abs(got[i] - want[i]) > tolerance) return false;
-  }
-  return true;
-}
+/// What a kernel family really owns: its listing and a few hooks. adapt()
+/// derives the rest of its registry entry — knob count, space builder, cost
+/// function, reference check — from them and from the family's knob table
+/// (atf/kernels/knobs.hpp).
+template <typename Problem, typename Params>
+struct family {
+  std::string name, description, dim_names;  ///< as in entry
+  input_size default_size;
+  std::string constraint_summary;
 
-std::shared_ptr<ocls::context> functional_context(const ocls::device& dev) {
-  auto ctx = std::make_shared<ocls::context>(dev);
-  ctx->execute_functionally(true);
-  return ctx;
-}
+  /// The problem of a size with as many dimensions as dim_names spells out;
+  /// throws std::invalid_argument for extents the family cannot run.
+  Problem (*problem_of)(const dims&);
+  std::vector<atf::tp_group> (*groups)(const Problem&,
+                                       const ocls::device_profile&);
+  ocls::kernel (*kernel)();
+  ocls::nd_range (*launch_range)(const Problem&, const Params&);
+  ocls::define_map (*make_defines)(const Problem&, const Params&);
+  /// Builds the reference inputs, calls `launch` once with the kernel args
+  /// and compares the output with the family's tolerance.
+  bool (*reference)(const Problem&, const Params&, const launcher&);
+};
 
-// ---- per-family configuration decoding ------------------------------------
-
-stencil2d::params stencil_params(const atf::configuration& c) {
-  stencil2d::params p;
-  p.tx = c["TX"];
-  p.ty = c["TY"];
-  p.lx = c["LX"];
-  p.ly = c["LY"];
-  p.vec = c["VEC"];
-  p.unroll = c["UNROLL"];
-  p.halo_lmem = c["HALO_LMEM"];
-  return p;
-}
-
-spmv::params spmv_params(const atf::configuration& c) {
-  spmv::params p;
-  p.vw = c["VW"];
-  p.wg = c["WG"];
-  p.rpb = c["RPB"];
-  p.unroll = c["UNROLL"];
-  return p;
-}
-
-batched_gemm::params bgemm_params(const atf::configuration& c) {
-  batched_gemm::params p;
-  p.tm = c["TM"];
-  p.tn = c["TN"];
-  p.bpw = c["BPW"];
-  p.vecn = c["VECN"];
-  p.ku = c["KU"];
-  p.lmem_ab = c["LMEM_AB"];
-  return p;
-}
-
-conv2d::params conv_params(const atf::configuration& c) {
-  conv2d::params p;
-  p.tbx = c["TBX"];
-  p.tby = c["TBY"];
-  p.lx = c["LX"];
-  p.ly = c["LY"];
-  p.vecx = c["VECX"];
-  p.unroll = c["UNROLL"];
-  p.use_lmem = c["USE_LMEM"];
-  return p;
-}
-
-// ---- family adapters -------------------------------------------------------
-
-entry saxpy_entry() {
+template <typename Problem, typename Params>
+entry adapt(const family<Problem, Params>& f) {
   entry e;
-  e.name = "saxpy";
-  e.description = "CLBlast-style saxpy (paper Listing 1)";
-  e.dim_names = "N";
-  e.default_size = {{65536}};
-  e.knob_count = 2;
-  e.constraint_summary = "WPT | N; LS | N/WPT (one divides-chain)";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile&) {
-    expect_dims("saxpy", "N", size, 1);
-    auto setup = saxpy::make_tuning_parameters(size.dims[0]);
-    return std::vector<atf::tp_group>{setup.group()};
+  e.name = f.name;
+  e.description = f.description;
+  e.dim_names = f.dim_names;
+  e.default_size = f.default_size;
+  e.knob_count = knob_names<Params>().size();
+  e.constraint_summary = f.constraint_summary;
+  // The one size check of the family: "HxWxR" names three dimensions.
+  const auto problem_of = [f](const input_size& size) {
+    const auto count = static_cast<std::size_t>(
+        std::count(f.dim_names.begin(), f.dim_names.end(), 'x') + 1);
+    if (size.dims.size() != count) {
+      throw std::invalid_argument(
+          "kernel '" + f.name + "' expects a size of the form " +
+          f.dim_names + " (" + std::to_string(count) +
+          " dimensions), got '" + size.to_string() + "'");
+    }
+    return f.problem_of(size.dims);
   };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("saxpy", "N", size, 1);
-    const std::size_t n = size.dims[0];
+  e.make_groups = [f, problem_of](const input_size& size,
+                                  const ocls::device_profile& dev) {
+    return f.groups(problem_of(size), dev);
+  };
+  e.make_cost = [f, problem_of](const input_size& size,
+                                const ocls::device& dev) {
+    const Problem prob = problem_of(size);
     auto queue = std::make_shared<ocls::command_queue>(
         std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = saxpy::make_kernel();
+    // The size-only defines (spmv's NNZ walks every row length) are made
+    // once per cost function; each evaluation overwrites just the knobs.
+    // Launches are model-only: the analytic models never touch buffers.
     return std::function<double(const atf::configuration&)>(
-        [queue, k, n](const atf::configuration& c) {
-          const std::size_t wpt = c["WPT"];
-          const std::size_t ls = c["LS"];
-          ocls::define_map defines;
-          defines.set("N", static_cast<std::uint64_t>(n));
-          defines.set("WPT", static_cast<std::uint64_t>(wpt));
-          defines.set("LS", static_cast<std::uint64_t>(ls));
-          return model_launch(*queue, k, saxpy::launch_range(n, wpt, ls),
-                              defines);
+        [queue, k = f.kernel(), prob, launch_range = f.launch_range,
+         base = f.make_defines(prob, Params{})](const atf::configuration& c) {
+          const Params p = params_from<Params>(c);
+          ocls::define_map defines = base;
+          to_defines(p, defines);
+          try {
+            return queue->launch(k, launch_range(prob, p), {}, defines)
+                .profile_ns();
+          } catch (const ocls::error& e) {
+            throw atf::evaluation_error(e.what());
+          }
         });
   };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("saxpy", "N", size, 1);
-    const std::size_t n = size.dims[0];
-    const float a = 0.5f;
-    std::vector<float> x(n), y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      x[i] = static_cast<float>(static_cast<int>((i * 3) % 7) - 3) * 0.25f;
-      y[i] = static_cast<float>(static_cast<int>((i * 5) % 9) - 4) * 0.125f;
-    }
-    std::vector<float> expected = y;
-    reference::saxpy(a, x, expected);
-
-    ocls::command_queue queue(functional_context(dev));
-    auto xb = std::make_shared<ocls::buffer<float>>(x);
-    auto yb = std::make_shared<ocls::buffer<float>>(y);
-    const std::size_t wpt = c["WPT"];
-    const std::size_t ls = c["LS"];
-    ocls::define_map defines;
-    defines.set("N", static_cast<std::uint64_t>(n));
-    defines.set("WPT", static_cast<std::uint64_t>(wpt));
-    defines.set("LS", static_cast<std::uint64_t>(ls));
-    (void)queue.launch(saxpy::make_kernel(), saxpy::launch_range(n, wpt, ls),
-                       {static_cast<double>(n), a, ocls::arg(xb),
-                        ocls::arg(yb)},
-                       defines);
-    return matches(yb->host(), expected);
+  e.reference_check = [f, problem_of](const input_size& size,
+                                      const ocls::device& dev,
+                                      const atf::configuration& c) {
+    const Problem prob = problem_of(size);
+    const Params p = params_from<Params>(c);
+    return f.reference(prob, p, [&](const ocls::kernel_args& args) {
+      auto ctx = std::make_shared<ocls::context>(dev);
+      ctx->execute_functionally(true);
+      ocls::command_queue queue(std::move(ctx));
+      (void)queue.launch(f.kernel(), f.launch_range(prob, p), args,
+                         f.make_defines(prob, p));
+    });
   };
   return e;
+}
+
+using buffer = ocls::buffer<float>;
+
+/// A device buffer holding a copy of `host`.
+std::shared_ptr<buffer> device_copy(const std::vector<float>& host) {
+  return std::make_shared<buffer>(host);
+}
+
+entry saxpy_entry() {
+  return adapt<std::size_t, saxpy::params>(
+      {.name = "saxpy",
+       .description = "CLBlast-style saxpy (paper Listing 1)",
+       .dim_names = "N",
+       .default_size = {{65536}},
+       .constraint_summary = "WPT | N; LS | N/WPT (one divides-chain)",
+       .problem_of = [](const dims& d) -> std::size_t { return d[0]; },
+       .groups =
+           [](const std::size_t& n, const ocls::device_profile&) {
+             return std::vector<atf::tp_group>{
+                 saxpy::make_tuning_parameters(n).group()};
+           },
+       .kernel = saxpy::make_kernel,
+       .launch_range =
+           [](const std::size_t& n, const saxpy::params& p) {
+             return saxpy::launch_range(n, p.wpt, p.ls);
+           },
+       .make_defines =
+           [](const std::size_t& n, const saxpy::params& p) {
+             return saxpy::make_defines(n, p);
+           },
+       .reference = [](const std::size_t& n, const saxpy::params&,
+                       const launcher& launch) {
+         const float a = 0.5f;
+         std::vector<float> x(n), y(n);
+         for (std::size_t i = 0; i < n; ++i) {
+           x[i] = static_cast<float>(static_cast<int>((i * 3) % 7) - 3) *
+                  0.25f;
+           y[i] = static_cast<float>(static_cast<int>((i * 5) % 9) - 4) *
+                  0.125f;
+         }
+         std::vector<float> expected = y;
+         reference::saxpy(a, x, expected);
+         auto yb = device_copy(y);
+         launch({static_cast<double>(n), a, ocls::arg(device_copy(x)),
+                 ocls::arg(yb)});
+         return reference::matches(yb->host(), expected, 1e-4f);
+       }});
 }
 
 entry reduce_entry() {
-  entry e;
-  e.name = "reduce";
-  e.description = "grid-stride sum reduction with tree phase";
-  e.dim_names = "N";
-  e.default_size = {{65536}};
-  e.knob_count = 3;
-  e.constraint_summary = "LS pow2 <= device limit; UNROLL | WPT";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("reduce", "N", size, 1);
-    auto setup =
-        reduce::make_tuning_parameters(size.dims[0], dev.max_work_group_size);
-    return std::vector<atf::tp_group>{setup.group()};
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("reduce", "N", size, 1);
-    const std::size_t n = size.dims[0];
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = reduce::make_kernel();
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, n](const atf::configuration& c) {
-          reduce::params p;
-          p.ls = c["LS"];
-          p.wpt = c["WPT"];
-          p.unroll = c["UNROLL"];
-          ocls::define_map defines;
-          defines.set("N", static_cast<std::uint64_t>(n));
-          defines.set("LS", p.ls);
-          defines.set("WPT", p.wpt);
-          defines.set("UNROLL", p.unroll);
-          return model_launch(*queue, k, reduce::launch_range(n, p), defines);
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("reduce", "N", size, 1);
-    const std::size_t n = size.dims[0];
-    std::vector<float> in(n);
-    double want = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      in[i] = static_cast<float>(static_cast<int>((i * 7) % 5) - 2);
-      want += in[i];
-    }
-    reduce::params p;
-    p.ls = c["LS"];
-    p.wpt = c["WPT"];
-    p.unroll = c["UNROLL"];
-
-    ocls::command_queue queue(functional_context(dev));
-    auto inb = std::make_shared<ocls::buffer<float>>(in);
-    auto partials =
-        std::make_shared<ocls::buffer<float>>(reduce::num_groups(n, p));
-    ocls::define_map defines;
-    defines.set("N", static_cast<std::uint64_t>(n));
-    defines.set("LS", p.ls);
-    defines.set("WPT", p.wpt);
-    defines.set("UNROLL", p.unroll);
-    (void)queue.launch(reduce::make_kernel(), reduce::launch_range(n, p),
-                       {static_cast<double>(n), ocls::arg(inb),
-                        ocls::arg(partials)},
-                       defines);
-    double got = 0.0;
-    for (const float v : partials->host()) got += v;
-    return std::abs(got - want) <= 1e-3;
-  };
-  return e;
+  return adapt<std::size_t, reduce::params>(
+      {.name = "reduce",
+       .description = "grid-stride sum reduction with tree phase",
+       .dim_names = "N",
+       .default_size = {{65536}},
+       .constraint_summary = "LS pow2 <= device limit; UNROLL | WPT",
+       .problem_of = [](const dims& d) -> std::size_t { return d[0]; },
+       .groups =
+           [](const std::size_t& n, const ocls::device_profile& dev) {
+             return std::vector<atf::tp_group>{
+                 reduce::make_tuning_parameters(n, dev.max_work_group_size)
+                     .group()};
+           },
+       .kernel = reduce::make_kernel,
+       .launch_range =
+           [](const std::size_t& n, const reduce::params& p) {
+             return reduce::launch_range(n, p);
+           },
+       .make_defines =
+           [](const std::size_t& n, const reduce::params& p) {
+             return reduce::make_defines(n, p);
+           },
+       .reference = [](const std::size_t& n, const reduce::params& p,
+                       const launcher& launch) {
+         std::vector<float> in(n);
+         double want = 0.0;
+         for (std::size_t i = 0; i < n; ++i) {
+           in[i] = static_cast<float>(static_cast<int>((i * 7) % 5) - 2);
+           want += in[i];
+         }
+         auto partials = std::make_shared<buffer>(reduce::num_groups(n, p));
+         launch({static_cast<double>(n), ocls::arg(device_copy(in)),
+                 ocls::arg(partials)});
+         double got = 0.0;
+         for (const float v : partials->host()) got += v;
+         return std::abs(got - want) <= 1e-3;  // false for NaN, as matches()
+       }});
 }
 
 entry xgemm_entry() {
-  entry e;
-  e.name = "xgemm";
-  e.description = "CLBlast XgemmDirect (paper Section VI)";
-  e.dim_names = "MxNxK";
-  e.default_size = {{64, 64, 64}};
-  e.knob_count = 10;
-  e.constraint_summary =
-      "17-constraint divisibility web over WGD/MDIM*/NDIM*/VW*/KWID";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("xgemm", "MxNxK", size, 3);
-    const xgemm::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    auto setup = xgemm::make_tuning_parameters(
-        prob, xgemm::size_mode::general, xgemm::device_limits::of(dev));
-    return std::vector<atf::tp_group>{setup.group()};
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("xgemm", "MxNxK", size, 3);
-    const xgemm::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = xgemm::make_kernel();
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, prob](const atf::configuration& c) {
-          const xgemm::params p = xgemm::params_from(c);
-          return model_launch(
-              *queue, k,
-              xgemm::launch_range(prob, p, xgemm::size_mode::general),
-              xgemm::make_defines(prob, p));
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("xgemm", "MxNxK", size, 3);
-    const xgemm::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    std::vector<float> a(prob.m * prob.k), b(prob.k * prob.n);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      a[i] = static_cast<float>(static_cast<int>((i * 7 + 3) % 9) - 4) * 0.25f;
-    }
-    for (std::size_t i = 0; i < b.size(); ++i) {
-      b[i] =
-          static_cast<float>(static_cast<int>((i * 5 + 1) % 11) - 5) * 0.125f;
-    }
-    std::vector<float> expected(prob.m * prob.n, 0.0f);
-    reference::gemm(prob.m, prob.n, prob.k, a, b, expected);
-
-    ocls::command_queue queue(functional_context(dev));
-    auto ab = std::make_shared<ocls::buffer<float>>(a);
-    auto bb = std::make_shared<ocls::buffer<float>>(b);
-    auto cb = std::make_shared<ocls::buffer<float>>(expected.size());
-    const xgemm::params p = xgemm::params_from(c);
-    (void)queue.launch(
-        xgemm::make_kernel(),
-        xgemm::launch_range(prob, p, xgemm::size_mode::general),
-        {static_cast<double>(prob.m), static_cast<double>(prob.n),
-         static_cast<double>(prob.k), ocls::arg(ab), ocls::arg(bb),
-         ocls::arg(cb)},
-        xgemm::make_defines(prob, p));
-    return matches(cb->host(), expected, 1e-3f);
-  };
-  return e;
+  return adapt<xgemm::problem, xgemm::params>(
+      {.name = "xgemm",
+       .description = "CLBlast XgemmDirect (paper Section VI)",
+       .dim_names = "MxNxK",
+       .default_size = {{64, 64, 64}},
+       .constraint_summary =
+           "17-constraint divisibility web over WGD/MDIM*/NDIM*/VW*/KWID",
+       .problem_of =
+           [](const dims& d) { return xgemm::problem{d[0], d[1], d[2]}; },
+       .groups =
+           [](const xgemm::problem& prob, const ocls::device_profile& dev) {
+             return std::vector<atf::tp_group>{
+                 xgemm::make_tuning_parameters(prob, xgemm::size_mode::general,
+                                               xgemm::device_limits::of(dev))
+                     .group()};
+           },
+       .kernel = xgemm::make_kernel,
+       .launch_range =
+           [](const xgemm::problem& prob, const xgemm::params& p) {
+             return xgemm::launch_range(prob, p, xgemm::size_mode::general);
+           },
+       .make_defines = xgemm::make_defines,
+       .reference = [](const xgemm::problem& prob, const xgemm::params&,
+                       const launcher& launch) {
+         std::vector<float> a(prob.m * prob.k), b(prob.k * prob.n);
+         for (std::size_t i = 0; i < a.size(); ++i) {
+           a[i] = static_cast<float>(static_cast<int>((i * 7 + 3) % 9) - 4) *
+                  0.25f;
+         }
+         for (std::size_t i = 0; i < b.size(); ++i) {
+           b[i] = static_cast<float>(static_cast<int>((i * 5 + 1) % 11) - 5) *
+                  0.125f;
+         }
+         std::vector<float> expected(prob.m * prob.n, 0.0f);
+         reference::gemm(prob.m, prob.n, prob.k, a, b, expected);
+         auto cb = std::make_shared<buffer>(expected.size());
+         launch({static_cast<double>(prob.m), static_cast<double>(prob.n),
+                 static_cast<double>(prob.k), ocls::arg(device_copy(a)),
+                 ocls::arg(device_copy(b)), ocls::arg(cb)});
+         return reference::matches(cb->host(), expected, 1e-3f);
+       }});
 }
 
 entry conv2d_entry() {
-  entry e;
-  e.name = "conv2d";
-  e.description = "direct 2D convolution (valid padding)";
-  e.dim_names = "HxWxRxS";
-  e.default_size = {{64, 64, 5, 5}};
-  e.knob_count = 7;
-  e.constraint_summary =
-      "LX | TBX, LY | TBY, VECX | TBX/LX; staged tile lmem bound";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("conv2d", "HxWxRxS", size, 4);
-    if (size.dims[2] > size.dims[0] || size.dims[3] > size.dims[1]) {
-      throw std::invalid_argument(
-          "conv2d: the filter must not exceed the input");
-    }
-    const conv2d::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                               size.dims[3]};
-    auto setup = conv2d::make_tuning_parameters(prob, dev.max_work_group_size,
-                                                dev.local_mem_bytes);
-    return setup.groups();
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("conv2d", "HxWxRxS", size, 4);
-    const conv2d::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                               size.dims[3]};
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = conv2d::make_kernel();
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, prob](const atf::configuration& c) {
-          const conv2d::params p = conv_params(c);
-          return model_launch(*queue, k, conv2d::launch_range(prob, p),
-                              conv2d::make_defines(prob, p));
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("conv2d", "HxWxRxS", size, 4);
-    const conv2d::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                               size.dims[3]};
-    std::vector<float> in(prob.height * prob.width);
-    std::vector<float> flt(prob.filter_height * prob.filter_width);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = static_cast<float>((i * 3) % 7) - 3.0f;
-    }
-    for (std::size_t i = 0; i < flt.size(); ++i) {
-      flt[i] = static_cast<float>(i % 4) * 0.5f - 0.75f;
-    }
-    std::vector<float> expected(prob.out_height() * prob.out_width(), 0.0f);
-    for (std::size_t y = 0; y < prob.out_height(); ++y) {
-      for (std::size_t x = 0; x < prob.out_width(); ++x) {
-        float acc = 0.0f;
-        for (std::size_t r = 0; r < prob.filter_height; ++r) {
-          for (std::size_t s = 0; s < prob.filter_width; ++s) {
-            acc += in[(y + r) * prob.width + (x + s)] *
-                   flt[r * prob.filter_width + s];
-          }
-        }
-        expected[y * prob.out_width() + x] = acc;
-      }
-    }
-
-    ocls::command_queue queue(functional_context(dev));
-    auto inb = std::make_shared<ocls::buffer<float>>(in);
-    auto fb = std::make_shared<ocls::buffer<float>>(flt);
-    auto outb = std::make_shared<ocls::buffer<float>>(expected.size());
-    const conv2d::params p = conv_params(c);
-    (void)queue.launch(conv2d::make_kernel(), conv2d::launch_range(prob, p),
-                       {static_cast<double>(prob.height),
-                        static_cast<double>(prob.width),
-                        static_cast<double>(prob.filter_height),
-                        static_cast<double>(prob.filter_width),
-                        ocls::arg(inb), ocls::arg(fb), ocls::arg(outb)},
-                       conv2d::make_defines(prob, p));
-    return matches(outb->host(), expected, 1e-3f);
-  };
-  return e;
+  return adapt<conv2d::problem, conv2d::params>(
+      {.name = "conv2d",
+       .description = "direct 2D convolution (valid padding)",
+       .dim_names = "HxWxRxS",
+       .default_size = {{64, 64, 5, 5}},
+       .constraint_summary =
+           "LX | TBX, LY | TBY, VECX | TBX/LX; staged tile lmem bound",
+       .problem_of =
+           [](const dims& d) {
+             if (d[2] > d[0] || d[3] > d[1]) {
+               throw std::invalid_argument(
+                   "conv2d: the filter must not exceed the input");
+             }
+             return conv2d::problem{d[0], d[1], d[2], d[3]};
+           },
+       .groups =
+           [](const conv2d::problem& prob, const ocls::device_profile& dev) {
+             return conv2d::make_tuning_parameters(
+                        prob, dev.max_work_group_size, dev.local_mem_bytes)
+                 .groups();
+           },
+       .kernel = conv2d::make_kernel,
+       .launch_range = conv2d::launch_range,
+       .make_defines = conv2d::make_defines,
+       .reference = [](const conv2d::problem& prob, const conv2d::params&,
+                       const launcher& launch) {
+         std::vector<float> in(prob.height * prob.width);
+         std::vector<float> flt(prob.filter_height * prob.filter_width);
+         for (std::size_t i = 0; i < in.size(); ++i) {
+           in[i] = static_cast<float>((i * 3) % 7) - 3.0f;
+         }
+         for (std::size_t i = 0; i < flt.size(); ++i) {
+           flt[i] = static_cast<float>(i % 4) * 0.5f - 0.75f;
+         }
+         std::vector<float> expected(prob.out_height() * prob.out_width());
+         for (std::size_t y = 0; y < prob.out_height(); ++y) {
+           for (std::size_t x = 0; x < prob.out_width(); ++x) {
+             float acc = 0.0f;
+             for (std::size_t r = 0; r < prob.filter_height; ++r) {
+               for (std::size_t s = 0; s < prob.filter_width; ++s) {
+                 acc += in[(y + r) * prob.width + (x + s)] *
+                        flt[r * prob.filter_width + s];
+               }
+             }
+             expected[y * prob.out_width() + x] = acc;
+           }
+         }
+         auto outb = std::make_shared<buffer>(expected.size());
+         launch({static_cast<double>(prob.height),
+                 static_cast<double>(prob.width),
+                 static_cast<double>(prob.filter_height),
+                 static_cast<double>(prob.filter_width),
+                 ocls::arg(device_copy(in)), ocls::arg(device_copy(flt)),
+                 ocls::arg(outb)});
+         return reference::matches(outb->host(), expected, 1e-3f);
+       }});
 }
 
 entry stencil2d_entry() {
-  entry e;
-  e.name = "stencil2d";
-  e.description = "2D star stencil, radius R (bandwidth-bound)";
-  e.dim_names = "HxWxR";
-  e.default_size = {{66, 66, 1}};
-  e.knob_count = 7;
-  e.constraint_summary =
-      "LX | TX, VEC | TX/LX, LY | TY; haloed tile lmem bound";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("stencil2d", "HxWxR", size, 3);
-    if (size.dims[0] <= 2 * size.dims[2] || size.dims[1] <= 2 * size.dims[2]) {
-      throw std::invalid_argument(
-          "stencil2d: the grid must exceed twice the radius");
-    }
-    const stencil2d::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    auto setup = stencil2d::make_tuning_parameters(
-        prob, dev.max_work_group_size, dev.local_mem_bytes);
-    return setup.groups();
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("stencil2d", "HxWxR", size, 3);
-    const stencil2d::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = stencil2d::make_kernel();
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, prob](const atf::configuration& c) {
-          const stencil2d::params p = stencil_params(c);
-          return model_launch(*queue, k, stencil2d::launch_range(prob, p),
-                              stencil2d::make_defines(prob, p));
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("stencil2d", "HxWxR", size, 3);
-    const stencil2d::problem prob{size.dims[0], size.dims[1], size.dims[2]};
-    const std::vector<float> in = stencil2d::make_input(prob);
-    const std::vector<float> expected = stencil2d::reference_stencil(prob, in);
-
-    ocls::command_queue queue(functional_context(dev));
-    auto inb = std::make_shared<ocls::buffer<float>>(in);
-    auto outb = std::make_shared<ocls::buffer<float>>(in.size());
-    const stencil2d::params p = stencil_params(c);
-    (void)queue.launch(stencil2d::make_kernel(),
-                       stencil2d::launch_range(prob, p),
-                       {static_cast<double>(prob.height),
-                        static_cast<double>(prob.width),
-                        static_cast<double>(prob.radius), ocls::arg(inb),
-                        ocls::arg(outb)},
-                       stencil2d::make_defines(prob, p));
-    return matches(outb->host(), expected, 1e-6f);
-  };
-  return e;
+  return adapt<stencil2d::problem, stencil2d::params>(
+      {.name = "stencil2d",
+       .description = "2D star stencil, radius R (bandwidth-bound)",
+       .dim_names = "HxWxR",
+       .default_size = {{66, 66, 1}},
+       .constraint_summary =
+           "LX | TX, VEC | TX/LX, LY | TY; haloed tile lmem bound",
+       .problem_of =
+           [](const dims& d) {
+             if (d[0] <= 2 * d[2] || d[1] <= 2 * d[2]) {
+               throw std::invalid_argument(
+                   "stencil2d: the grid must exceed twice the radius");
+             }
+             return stencil2d::problem{d[0], d[1], d[2]};
+           },
+       .groups =
+           [](const stencil2d::problem& prob,
+              const ocls::device_profile& dev) {
+             return stencil2d::make_tuning_parameters(
+                        prob, dev.max_work_group_size, dev.local_mem_bytes)
+                 .groups();
+           },
+       .kernel = stencil2d::make_kernel,
+       .launch_range = stencil2d::launch_range,
+       .make_defines = stencil2d::make_defines,
+       .reference = [](const stencil2d::problem& prob,
+                       const stencil2d::params&, const launcher& launch) {
+         const std::vector<float> in = stencil2d::make_input(prob);
+         auto outb = std::make_shared<buffer>(in.size());
+         launch({static_cast<double>(prob.height),
+                 static_cast<double>(prob.width),
+                 static_cast<double>(prob.radius), ocls::arg(device_copy(in)),
+                 ocls::arg(outb)});
+         return reference::matches(outb->host(),
+                                   stencil2d::reference_stencil(prob, in),
+                                   1e-6f);
+       }});
 }
 
 entry spmv_entry() {
-  entry e;
-  e.name = "spmv";
-  e.description = "CSR SpMV on a skewed synthetic matrix (irregular)";
-  e.dim_names = "ROWSxNNZ";
-  e.default_size = {{2048, 16}};
-  e.knob_count = 4;
-  e.constraint_summary =
-      "VW <= simd width, VW | WG, WG <= device limit (occupancy pincer)";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("spmv", "ROWSxNNZ", size, 2);
-    const spmv::problem prob{size.dims[0], size.dims[1], 0.5};
-    auto setup = spmv::make_tuning_parameters(prob, dev);
-    return setup.groups();
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("spmv", "ROWSxNNZ", size, 2);
-    const spmv::problem prob{size.dims[0], size.dims[1], 0.5};
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = spmv::make_kernel();
-    // The aggregate matrix shape the model consumes is size-dependent only;
-    // amortize it across evaluations.
-    const ocls::define_map base = spmv::make_defines(prob, spmv::params{});
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, prob, base](const atf::configuration& c) {
-          const spmv::params p = spmv_params(c);
-          ocls::define_map defines = base;
-          p.to_defines(defines);
-          return model_launch(*queue, k, spmv::launch_range(prob, p),
-                              defines);
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("spmv", "ROWSxNNZ", size, 2);
-    const spmv::problem prob{size.dims[0], size.dims[1], 0.5};
-    const spmv::csr_matrix m = spmv::make_matrix(prob);
-    const std::vector<float> expected = spmv::reference_spmv(m);
-
-    ocls::command_queue queue(functional_context(dev));
-    auto rp = std::make_shared<ocls::buffer<std::uint32_t>>(m.row_ptr);
-    auto cols = std::make_shared<ocls::buffer<std::uint32_t>>(m.cols);
-    auto vals = std::make_shared<ocls::buffer<float>>(m.vals);
-    auto xb = std::make_shared<ocls::buffer<float>>(m.x);
-    auto yb = std::make_shared<ocls::buffer<float>>(prob.rows);
-    const spmv::params p = spmv_params(c);
-    (void)queue.launch(spmv::make_kernel(), spmv::launch_range(prob, p),
-                       {static_cast<double>(prob.rows), ocls::arg(rp),
-                        ocls::arg(cols), ocls::arg(vals), ocls::arg(xb),
-                        ocls::arg(yb)},
-                       spmv::make_defines(prob, p));
-    return matches(yb->host(), expected, 1e-6f);
-  };
-  return e;
+  return adapt<spmv::problem, spmv::params>(
+      {.name = "spmv",
+       .description = "CSR SpMV on a skewed synthetic matrix (irregular)",
+       .dim_names = "ROWSxNNZ",
+       .default_size = {{2048, 16}},
+       .constraint_summary =
+           "VW <= simd width, VW | WG, WG <= device limit (occupancy pincer)",
+       .problem_of =
+           [](const dims& d) { return spmv::problem{d[0], d[1], 0.5}; },
+       .groups =
+           [](const spmv::problem& prob, const ocls::device_profile& dev) {
+             return spmv::make_tuning_parameters(prob, dev).groups();
+           },
+       .kernel = spmv::make_kernel,
+       .launch_range = spmv::launch_range,
+       .make_defines = spmv::make_defines,
+       .reference = [](const spmv::problem& prob, const spmv::params&,
+                       const launcher& launch) {
+         const spmv::csr_matrix m = spmv::make_matrix(prob);
+         auto yb = std::make_shared<buffer>(prob.rows);
+         launch({static_cast<double>(prob.rows),
+                 ocls::arg(std::make_shared<ocls::buffer<std::uint32_t>>(
+                     m.row_ptr)),
+                 ocls::arg(
+                     std::make_shared<ocls::buffer<std::uint32_t>>(m.cols)),
+                 ocls::arg(device_copy(m.vals)), ocls::arg(device_copy(m.x)),
+                 ocls::arg(yb)});
+         return reference::matches(yb->host(), spmv::reference_spmv(m),
+                                   1e-6f);
+       }});
 }
 
 entry batched_gemm_entry() {
-  entry e;
-  e.name = "batched_gemm";
-  e.description = "many small GEMMs packed into work-groups (occupancy)";
-  e.dim_names = "BxMxNxK";
-  e.default_size = {{256, 16, 16, 16}};
-  e.knob_count = 6;
-  e.constraint_summary =
-      "TM | M, TN | N, VECN | TN, KU | K; (M/TM)(N/TN)*BPW <= WG limit";
-  e.make_groups = [](const input_size& size,
-                     const ocls::device_profile& dev) {
-    expect_dims("batched_gemm", "BxMxNxK", size, 4);
-    const batched_gemm::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                                     size.dims[3]};
-    auto setup = batched_gemm::make_tuning_parameters(prob, dev);
-    return setup.groups();
-  };
-  e.make_cost = [](const input_size& size, const ocls::device& dev) {
-    expect_dims("batched_gemm", "BxMxNxK", size, 4);
-    const batched_gemm::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                                     size.dims[3]};
-    auto queue = std::make_shared<ocls::command_queue>(
-        std::make_shared<ocls::context>(dev));
-    const ocls::kernel k = batched_gemm::make_kernel();
-    return std::function<double(const atf::configuration&)>(
-        [queue, k, prob](const atf::configuration& c) {
-          const batched_gemm::params p = bgemm_params(c);
-          return model_launch(*queue, k, batched_gemm::launch_range(prob, p),
-                              batched_gemm::make_defines(prob, p));
-        });
-  };
-  e.reference_check = [](const input_size& size, const ocls::device& dev,
-                         const atf::configuration& c) {
-    expect_dims("batched_gemm", "BxMxNxK", size, 4);
-    const batched_gemm::problem prob{size.dims[0], size.dims[1], size.dims[2],
-                                     size.dims[3]};
-    const std::vector<float> a = batched_gemm::make_a(prob);
-    const std::vector<float> b = batched_gemm::make_b(prob);
-    const std::vector<float> expected =
-        batched_gemm::reference_gemm(prob, a, b);
-
-    ocls::command_queue queue(functional_context(dev));
-    auto ab = std::make_shared<ocls::buffer<float>>(a);
-    auto bb = std::make_shared<ocls::buffer<float>>(b);
-    auto cb = std::make_shared<ocls::buffer<float>>(expected.size());
-    const batched_gemm::params p = bgemm_params(c);
-    (void)queue.launch(batched_gemm::make_kernel(),
-                       batched_gemm::launch_range(prob, p),
-                       {static_cast<double>(prob.batch),
-                        static_cast<double>(prob.m),
-                        static_cast<double>(prob.n),
-                        static_cast<double>(prob.k), ocls::arg(ab),
-                        ocls::arg(bb), ocls::arg(cb)},
-                       batched_gemm::make_defines(prob, p));
-    return matches(cb->host(), expected, 1e-6f);
-  };
-  return e;
+  return adapt<batched_gemm::problem, batched_gemm::params>(
+      {.name = "batched_gemm",
+       .description = "many small GEMMs packed into work-groups (occupancy)",
+       .dim_names = "BxMxNxK",
+       .default_size = {{256, 16, 16, 16}},
+       .constraint_summary =
+           "TM | M, TN | N, VECN | TN, KU | K; (M/TM)(N/TN)*BPW <= WG limit",
+       .problem_of =
+           [](const dims& d) {
+             return batched_gemm::problem{d[0], d[1], d[2], d[3]};
+           },
+       .groups =
+           [](const batched_gemm::problem& prob,
+              const ocls::device_profile& dev) {
+             return batched_gemm::make_tuning_parameters(prob, dev).groups();
+           },
+       .kernel = batched_gemm::make_kernel,
+       .launch_range = batched_gemm::launch_range,
+       .make_defines = batched_gemm::make_defines,
+       .reference = [](const batched_gemm::problem& prob,
+                       const batched_gemm::params&, const launcher& launch) {
+         const std::vector<float> a = batched_gemm::make_a(prob);
+         const std::vector<float> b = batched_gemm::make_b(prob);
+         const std::vector<float> expected =
+             batched_gemm::reference_gemm(prob, a, b);
+         auto cb = std::make_shared<buffer>(expected.size());
+         launch({static_cast<double>(prob.batch), static_cast<double>(prob.m),
+                 static_cast<double>(prob.n), static_cast<double>(prob.k),
+                 ocls::arg(device_copy(a)), ocls::arg(device_copy(b)),
+                 ocls::arg(cb)});
+         return reference::matches(cb->host(), expected, 1e-6f);
+       }});
 }
 
 }  // namespace

@@ -21,6 +21,13 @@ ocls::nd_range launch_range(std::size_t n, std::size_t wpt, std::size_t ls) {
   return ocls::nd_range::d1(n / wpt, ls);
 }
 
+ocls::define_map make_defines(std::size_t n, const params& p) {
+  ocls::define_map defines;
+  defines.set("N", static_cast<std::uint64_t>(n));
+  to_defines(p, defines);
+  return defines;
+}
+
 const char* source() {
   return R"(__kernel void saxpy(const int N, const float a,
                     const __global float* x, __global float* y)

@@ -89,22 +89,6 @@ std::vector<float> reference_spmv(const csr_matrix& m) {
   return y;
 }
 
-params params::from_defines(const ocls::define_map& defines) {
-  params p;
-  p.vw = defines.get_uint("VW");
-  p.wg = defines.get_uint("WG");
-  p.rpb = defines.get_uint("RPB");
-  p.unroll = defines.get_uint("UNROLL");
-  return p;
-}
-
-void params::to_defines(ocls::define_map& defines) const {
-  defines.set("VW", vw);
-  defines.set("WG", wg);
-  defines.set("RPB", rpb);
-  defines.set("UNROLL", unroll);
-}
-
 tuning_setup make_tuning_parameters(const problem& prob,
                                     const ocls::device_profile& dev) {
   (void)prob;  // the occupancy bounds come from the device, not the size
@@ -206,7 +190,7 @@ ocls::perf_estimate model(const ocls::nd_range& range,
   const double rows = static_cast<double>(defines.get_uint("ROWS"));
   const double nnz = static_cast<double>(defines.get_uint("NNZ"));
   const double skew = defines.get_double("SKEW");
-  const params p = params::from_defines(defines);
+  const params p = from_defines<params>(defines);
 
   const double nnz_mean = nnz / rows;
   const double num_wgs =
@@ -270,7 +254,7 @@ ocls::define_map make_defines(const problem& prob, const params& p) {
   defines.set("ROWS", static_cast<std::uint64_t>(prob.rows));
   defines.set("NNZ", total_nnz(prob, 0x5ee));
   defines.set("SKEW", prob.skew);
-  p.to_defines(defines);
+  to_defines(p, defines);
   return defines;
 }
 

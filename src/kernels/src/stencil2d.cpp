@@ -11,28 +11,6 @@
 
 namespace atf::kernels::stencil2d {
 
-params params::from_defines(const ocls::define_map& defines) {
-  params p;
-  p.tx = defines.get_uint("TX");
-  p.ty = defines.get_uint("TY");
-  p.lx = defines.get_uint("LX");
-  p.ly = defines.get_uint("LY");
-  p.vec = defines.get_uint("VEC");
-  p.unroll = defines.get_uint("UNROLL");
-  p.halo_lmem = defines.get_bool("HALO_LMEM");
-  return p;
-}
-
-void params::to_defines(ocls::define_map& defines) const {
-  defines.set("TX", tx);
-  defines.set("TY", ty);
-  defines.set("LX", lx);
-  defines.set("LY", ly);
-  defines.set("VEC", vec);
-  defines.set("UNROLL", unroll);
-  defines.set("HALO_LMEM", halo_lmem);
-}
-
 namespace {
 
 std::size_t haloed_tile_bytes(std::uint64_t tx, std::uint64_t ty,
@@ -179,7 +157,7 @@ ocls::perf_estimate model(const ocls::nd_range& range,
   const double h = static_cast<double>(defines.get_uint("H"));
   const double w = static_cast<double>(defines.get_uint("W"));
   const double r = static_cast<double>(defines.get_uint("R"));
-  const params p = params::from_defines(defines);
+  const params p = from_defines<params>(defines);
 
   const double h_int = h - 2.0 * r;
   const double w_int = w - 2.0 * r;
@@ -243,7 +221,7 @@ ocls::define_map make_defines(const problem& prob, const params& p) {
   defines.set("H", static_cast<std::uint64_t>(prob.height));
   defines.set("W", static_cast<std::uint64_t>(prob.width));
   defines.set("R", static_cast<std::uint64_t>(prob.radius));
-  p.to_defines(defines);
+  to_defines(p, defines);
   return defines;
 }
 

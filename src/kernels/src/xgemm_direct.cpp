@@ -28,36 +28,9 @@ problem caffe_input_size(int index) {
   }
 }
 
-params params::from_defines(const ocls::define_map& defines) {
-  params p;
-  visit_knobs(p, [&](const char* name, auto& field) {
-    if constexpr (std::is_same_v<std::remove_reference_t<decltype(field)>,
-                                 bool>) {
-      field = defines.get_bool(name);
-    } else {
-      field = defines.get_uint(name);
-    }
-  });
-  return p;
-}
-
-void params::to_defines(ocls::define_map& defines) const {
-  visit_knobs(*this, [&](const char* name, const auto& field) {
-    defines.set(name, field);
-  });
-}
-
-params params_from(const atf::configuration& config) {
-  params p;
-  visit_knobs(p, [&](const char* name, auto& field) {
-    field = config.get<std::remove_reference_t<decltype(field)>>(name);
-  });
-  return p;
-}
-
 std::string params::to_string() const {
   ocls::define_map defines;
-  to_defines(defines);
+  to_defines(*this, defines);
   return defines.build_options();
 }
 
@@ -321,7 +294,7 @@ ocls::perf_estimate model(const ocls::nd_range& range,
   const double m = static_cast<double>(defines.get_uint("M"));
   const double n = static_cast<double>(defines.get_uint("N"));
   const double k = static_cast<double>(defines.get_uint("K"));
-  const params p = params::from_defines(defines);
+  const params p = from_defines<params>(defines);
 
   const double tiles_m =
       static_cast<double>(range.global[0] / range.local[0]);
@@ -473,7 +446,7 @@ ocls::define_map make_defines(const problem& prob, const params& p) {
   defines.set("M", static_cast<std::uint64_t>(prob.m));
   defines.set("N", static_cast<std::uint64_t>(prob.n));
   defines.set("K", static_cast<std::uint64_t>(prob.k));
-  p.to_defines(defines);
+  to_defines(p, defines);
   return defines;
 }
 

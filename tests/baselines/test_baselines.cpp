@@ -222,17 +222,7 @@ TEST(OpenTunerLike, XgemmUnconstrainedFindsNoValidConfig) {
   const auto result = tuner.run(
       1'000, penalty,
       [&](const ot::configuration& c) {
-        xg::params p;
-        p.wgd = c.at("WGD");
-        p.mdimcd = c.at("MDIMCD");
-        p.ndimcd = c.at("NDIMCD");
-        p.mdimad = c.at("MDIMAD");
-        p.ndimbd = c.at("NDIMBD");
-        p.kwid = c.at("KWID");
-        p.vwmd = c.at("VWMD");
-        p.vwnd = c.at("VWND");
-        p.pada = c.at("PADA") != 0;
-        p.padb = c.at("PADB") != 0;
+        const auto p = atf::kernels::params_from_values<xg::params>(c);
         return xg::valid(prob, p, xg::size_mode::general) ? 1.0 : penalty;
       },
       13);

@@ -57,11 +57,8 @@ inline std::string journal_path(const std::string& dir,
 /// One valid measurement of `p` at `time_ns`, as a GEMM tune records it.
 inline atf::session::tuning_record gemm_record(
     const atf::kernels::xgemm::params& p, double time_ns) {
-  atf::configuration config;
-  atf::kernels::xgemm::visit_knobs(p, [&](const char* name, const auto& v) {
-    config.add(name, atf::to_tp_value(v));
-  });
-  auto record = atf::session::tuning_record::from_configuration(config);
+  auto record = atf::session::tuning_record::from_configuration(
+      atf::kernels::to_configuration(p));
   record.scalar = time_ns;
   record.cost = atf::session::json::value(time_ns);
   return record;

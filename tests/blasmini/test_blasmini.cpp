@@ -78,6 +78,26 @@ TEST(GemmExecutor, TuneStoresIntoDatabaseAndRunConsumesIt) {
             blasmini::dispatcher::source::exact);
 }
 
+// The defaults record's config_hash keys the journals that the dispatcher
+// and atf_served read, so building it from the knob table must not move it.
+TEST(GemmExecutor, DefaultsRecordKeepsItsConfigHash) {
+  const std::string dir = fresh_dir();
+  blasmini::gemm_executor gemm(k20m());
+  blasmini::tune_options opts;
+  opts.technique = "random";
+  opts.evaluations = 1;
+  opts.seed = 3;
+  opts.journal = blasmini_test::journal_path(dir, gemm.device().name(),
+                                             "10x500x64");
+  (void)gemm.tune(10, 500, 64, opts);
+  const auto best = atf::session::result_store::from_report(
+                        atf::session::read_journal(opts.journal))
+                        .best();
+  ASSERT_TRUE(best.has_value());
+  ASSERT_EQ(best->technique, "defaults");
+  EXPECT_EQ(best->config_hash, 0x562062963583155aull);
+}
+
 TEST(GemmExecutor, TunedDispatchIsNotSlowerThanDefaults) {
   // A one-evaluation random tune cannot beat the defaults here, so the
   // guard triggers: the defaults are returned and journaled as one
@@ -99,8 +119,10 @@ TEST(GemmExecutor, TunedDispatchIsNotSlowerThanDefaults) {
   ASSERT_EQ(store.records().size(), 2u);  // the random pick + the defaults
   const auto best = store.best();
   ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(xg::params_from(best->to_configuration()).to_string(),
-            xg::params::defaults().to_string());
+  EXPECT_EQ(
+      atf::kernels::params_from<xg::params>(best->to_configuration())
+          .to_string(),
+      xg::params::defaults().to_string());
   EXPECT_EQ(best->technique, "defaults");
   EXPECT_EQ(best->scalar,
             gemm.modeled_time_ns(m, n, k, xg::params::defaults()));

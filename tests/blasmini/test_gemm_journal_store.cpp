@@ -486,7 +486,9 @@ TEST(GemmJournalStore, ServiceAndDispatcherAgreeOnEveryBest) {
     ASSERT_NE(it, snapshot->keys.end()) << key.to_string();
     ASSERT_TRUE(it->second->best.has_value());
     const auto from_service =
-        xg::params_from(it->second->best->to_configuration()).to_string();
+        atf::kernels::params_from<xg::params>(
+            it->second->best->to_configuration())
+            .to_string();
     EXPECT_EQ(served_exactly(dispatch, shape), from_service)
         << key.to_string();
   }

@@ -20,6 +20,7 @@ namespace {
 
 namespace sx = atf::kernels::saxpy;
 namespace xg = atf::kernels::xgemm;
+using atf::kernels::params_from;
 
 TEST(Integration, SaxpyListing2EndToEnd) {
   const std::size_t n = 1 << 16;
@@ -74,18 +75,7 @@ TEST(Integration, ExhaustiveEqualsBruteForceOracleOnSmallGemm) {
   atf::tuner tuner;
   tuner.tuning_parameters(setup.group());
   auto result = tuner.tune([&](const atf::configuration& config) {
-    xg::params p;
-    p.wgd = config["WGD"];
-    p.mdimcd = config["MDIMCD"];
-    p.ndimcd = config["NDIMCD"];
-    p.mdimad = config["MDIMAD"];
-    p.ndimbd = config["NDIMBD"];
-    p.kwid = config["KWID"];
-    p.vwmd = config["VWMD"];
-    p.vwnd = config["VWND"];
-    p.pada = config["PADA"];
-    p.padb = config["PADB"];
-    const double ns = measure(p);
+    const double ns = measure(params_from<xg::params>(config));
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }
@@ -147,18 +137,7 @@ TEST(Integration, AtfBeatsPenaltyBasedOpenTunerOnConstrainedGemm) {
       std::make_unique<atf::search::simulated_annealing>(4.0, 5));
   tuner.abort_condition(atf::cond::evaluations(3'000));
   auto atf_result = tuner.tune([&](const atf::configuration& config) {
-    xg::params p;
-    p.wgd = config["WGD"];
-    p.mdimcd = config["MDIMCD"];
-    p.ndimcd = config["NDIMCD"];
-    p.mdimad = config["MDIMAD"];
-    p.ndimbd = config["NDIMBD"];
-    p.kwid = config["KWID"];
-    p.vwmd = config["VWMD"];
-    p.vwnd = config["VWND"];
-    p.pada = config["PADA"];
-    p.padb = config["PADB"];
-    const double ns = measure(p);
+    const double ns = measure(params_from<xg::params>(config));
     if (!std::isfinite(ns)) {
       throw atf::evaluation_error("launch failed");
     }
@@ -183,17 +162,7 @@ TEST(Integration, AtfBeatsPenaltyBasedOpenTunerOnConstrainedGemm) {
   const auto ot_result = baseline.run(
       3'000, penalty,
       [&](const baselines::opentuner::configuration& c) {
-        xg::params p;
-        p.wgd = c.at("WGD");
-        p.mdimcd = c.at("MDIMCD");
-        p.ndimcd = c.at("NDIMCD");
-        p.mdimad = c.at("MDIMAD");
-        p.ndimbd = c.at("NDIMBD");
-        p.kwid = c.at("KWID");
-        p.vwmd = c.at("VWMD");
-        p.vwnd = c.at("VWND");
-        p.pada = c.at("PADA") != 0;
-        p.padb = c.at("PADB") != 0;
+        const auto p = atf::kernels::params_from_values<xg::params>(c);
         if (!xg::valid(prob, p, xg::size_mode::general, limits)) {
           return penalty;
         }

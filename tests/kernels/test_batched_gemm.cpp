@@ -17,17 +17,7 @@
 namespace {
 
 namespace bg = atf::kernels::batched_gemm;
-
-bg::params params_from(const atf::configuration& config) {
-  bg::params p;
-  p.tm = config["TM"];
-  p.tn = config["TN"];
-  p.bpw = config["BPW"];
-  p.vecn = config["VECN"];
-  p.ku = config["KU"];
-  p.lmem_ab = config["LMEM_AB"];
-  return p;
-}
+using atf::kernels::params_from;
 
 ocls::device_profile tiny_gpu(std::size_t max_wg, std::size_t lmem) {
   ocls::device_profile dev = ocls::tesla_k20m_profile();
@@ -43,7 +33,8 @@ TEST(BatchedGemmSpace, EveryGeneratedConfigIsValid) {
   const auto space = atf::search_space::generate(setup.groups());
   ASSERT_GT(space.size(), 0u);
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    EXPECT_TRUE(bg::valid(prob, params_from(space.config_at(i)), dev));
+    EXPECT_TRUE(
+        bg::valid(prob, params_from<bg::params>(space.config_at(i)), dev));
   }
 }
 
@@ -81,7 +72,7 @@ TEST(BatchedGemmSpace, PackingPincerPinned) {
 
   std::uint64_t max_bpw_fine = 0, max_bpw_coarse = 0;
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    const auto p = params_from(space.config_at(i));
+    const auto p = params_from<bg::params>(space.config_at(i));
     if (p.tm == 1 && p.tn == 1) {
       max_bpw_fine = std::max(max_bpw_fine, p.bpw);
     }

@@ -13,6 +13,7 @@
 namespace {
 
 namespace cv = atf::kernels::conv2d;
+using atf::kernels::params_from;
 
 std::vector<float> reference_conv(const cv::problem& prob,
                                   const std::vector<float>& in,
@@ -45,15 +46,7 @@ TEST(Conv2dSpace, EveryGeneratedConfigIsValid) {
   const auto space = atf::search_space::generate(setup.groups());
   ASSERT_GT(space.size(), 0u);
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    const auto config = space.config_at(i);
-    cv::params p;
-    p.tbx = config["TBX"];
-    p.tby = config["TBY"];
-    p.lx = config["LX"];
-    p.ly = config["LY"];
-    p.vecx = config["VECX"];
-    p.unroll = config["UNROLL"];
-    p.use_lmem = config["USE_LMEM"];
+    const auto p = params_from<cv::params>(space.config_at(i));
     EXPECT_TRUE(cv::valid(prob, p, 64, 2048));
   }
 }

@@ -52,15 +52,10 @@ TEST_P(ReduceFunctionalTest, PartialSumsAddUp) {
   const std::size_t groups = rd::num_groups(n, p);
   auto partials = std::make_shared<ocls::buffer<float>>(groups);
 
-  ocls::define_map defines;
-  defines.set("N", static_cast<std::uint64_t>(n));
-  defines.set("LS", p.ls);
-  defines.set("WPT", p.wpt);
-  defines.set("UNROLL", p.unroll);
   ocls::kernel_args args{ocls::arg(static_cast<double>(n)), ocls::arg(in),
                          ocls::arg(partials)};
   (void)queue.launch(rd::make_kernel(), rd::launch_range(n, p), args,
-                     defines);
+                     rd::make_defines(n, p));
 
   double total = 0.0;
   for (std::size_t g = 0; g < groups; ++g) {
@@ -82,12 +77,9 @@ TEST(ReduceModel, MoreCoverageIsFaster) {
   ocls::command_queue queue(ctx);
   const std::size_t n = 1 << 22;
   auto time = [&](const rd::params& p) {
-    ocls::define_map defines;
-    defines.set("N", static_cast<std::uint64_t>(n));
-    defines.set("LS", p.ls);
-    defines.set("WPT", p.wpt);
-    defines.set("UNROLL", p.unroll);
-    return queue.launch(rd::make_kernel(), rd::launch_range(n, p), {}, defines)
+    return queue
+        .launch(rd::make_kernel(), rd::launch_range(n, p), {},
+                rd::make_defines(n, p))
         .profile_ns();
   };
   // One giant group serializes on one compute unit.

@@ -5,11 +5,21 @@
 // functional reference check.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "atf/kernels/batched_gemm.hpp"
+#include "atf/kernels/conv2d.hpp"
+#include "atf/kernels/reduce.hpp"
+#include "atf/kernels/reference.hpp"
 #include "atf/kernels/registry.hpp"
+#include "atf/kernels/saxpy.hpp"
+#include "atf/kernels/spmv.hpp"
+#include "atf/kernels/stencil2d.hpp"
+#include "atf/kernels/xgemm_direct.hpp"
 #include "atf/search_space.hpp"
 #include "atf/tuner.hpp"
 #include "ocls/ocls.hpp"
@@ -27,6 +37,21 @@ const std::map<std::string, std::string>& small_sizes() {
       {"batched_gemm", "32x8x8x8"},
   };
   return sizes;
+}
+
+/// Each family's knob-table names, by registry name.
+const std::map<std::string, std::vector<std::string>>& table_names() {
+  namespace kn = atf::kernels;
+  static const std::map<std::string, std::vector<std::string>> names = {
+      {"saxpy", kn::knob_names<kn::saxpy::params>()},
+      {"reduce", kn::knob_names<kn::reduce::params>()},
+      {"xgemm", kn::knob_names<kn::xgemm::params>()},
+      {"conv2d", kn::knob_names<kn::conv2d::params>()},
+      {"stencil2d", kn::knob_names<kn::stencil2d::params>()},
+      {"spmv", kn::knob_names<kn::spmv::params>()},
+      {"batched_gemm", kn::knob_names<kn::batched_gemm::params>()},
+  };
+  return names;
 }
 
 TEST(RegistryTable, AllFamiliesRegisteredAndFindable) {
@@ -88,8 +113,17 @@ TEST(RegistrySpaces, EveryFamilyBuildsItsSpaceAndCost) {
     ASSERT_FALSE(groups.empty()) << e.name;
     const auto space = atf::search_space::generate(std::move(groups));
     ASSERT_GT(space.size(), 0u) << e.name;
-    // One configuration carries exactly the family's advertised knobs.
-    EXPECT_EQ(space.config_at(0).size(), e.knob_count) << e.name;
+    // One configuration carries exactly the family's advertised knobs, and
+    // they are the knobs its table names.
+    const atf::configuration first = space.config_at(0);
+    EXPECT_EQ(first.size(), e.knob_count) << e.name;
+    std::set<std::string> config_names;
+    for (const auto& [name, value] : first.entries()) {
+      config_names.insert(name);
+    }
+    const auto& table = table_names().at(e.name);
+    EXPECT_EQ(config_names, std::set<std::string>(table.begin(), table.end()))
+        << e.name;
     // The cost function evaluates the first configuration to a finite time
     // (or reports it as a failed evaluation, never anything else).
     auto cost = e.make_cost(size, dev);
@@ -105,6 +139,30 @@ TEST(RegistrySpaces, EveryFamilyBuildsItsSpaceAndCost) {
     EXPECT_THROW((void)e.make_groups(wrong, dev.profile()),
                  std::invalid_argument)
         << e.name;
+  }
+}
+
+TEST(RegistryReference, AnOutputHoldingOneNanFailsTheCheck) {
+  using atf::kernels::reference::matches;
+  const std::vector<float> want = {1.0f, 2.0f, 3.0f};
+  std::vector<float> got = want;
+  EXPECT_TRUE(matches(got, want, 1e-6f));
+  got[1] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_FALSE(matches(got, want, 1e-6f));
+  EXPECT_FALSE(matches(want, got, 1e-6f));  // a NaN reference fails too
+  got[1] = std::numeric_limits<float>::infinity();
+  EXPECT_FALSE(matches(got, got, 1e-6f));  // inf - inf is NaN
+  EXPECT_FALSE(matches(want, std::vector<float>{1.0f, 2.0f}, 1e-6f));
+}
+
+TEST(RegistryReference, EveryFamilyVerifiesItsFirstConfiguration) {
+  const auto dev = ocls::find_device("NVIDIA", "K20m");
+  for (const auto& e : reg::all()) {
+    const auto size = reg::input_size::parse(small_sizes().at(e.name));
+    const auto space =
+        atf::search_space::generate(e.make_groups(size, dev.profile()));
+    ASSERT_GT(space.size(), 0u) << e.name;
+    EXPECT_TRUE(e.reference_check(size, dev, space.config_at(0))) << e.name;
   }
 }
 

@@ -15,15 +15,7 @@
 namespace {
 
 namespace sp = atf::kernels::spmv;
-
-sp::params params_from(const atf::configuration& config) {
-  sp::params p;
-  p.vw = config["VW"];
-  p.wg = config["WG"];
-  p.rpb = config["RPB"];
-  p.unroll = config["UNROLL"];
-  return p;
-}
+using atf::kernels::params_from;
 
 TEST(SpmvMatrix, GeneratorIsDeterministicAndBounded) {
   const sp::problem prob{512, 16, 0.5};
@@ -53,7 +45,8 @@ TEST(SpmvSpace, EveryGeneratedConfigIsValid) {
   const auto space = atf::search_space::generate(setup.groups());
   ASSERT_GT(space.size(), 0u);
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    EXPECT_TRUE(sp::valid(prob, params_from(space.config_at(i)), dev));
+    EXPECT_TRUE(
+        sp::valid(prob, params_from<sp::params>(space.config_at(i)), dev));
   }
 }
 

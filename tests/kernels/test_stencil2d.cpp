@@ -17,18 +17,7 @@ namespace {
 
 namespace st = atf::kernels::stencil2d;
 namespace xg = atf::kernels::xgemm;
-
-st::params params_from(const atf::configuration& config) {
-  st::params p;
-  p.tx = config["TX"];
-  p.ty = config["TY"];
-  p.lx = config["LX"];
-  p.ly = config["LY"];
-  p.vec = config["VEC"];
-  p.unroll = config["UNROLL"];
-  p.halo_lmem = config["HALO_LMEM"];
-  return p;
-}
+using atf::kernels::params_from;
 
 TEST(Stencil2dProblem, InteriorShape) {
   const st::problem prob{14, 12, 2};
@@ -44,7 +33,7 @@ TEST(Stencil2dSpace, EveryGeneratedConfigIsValid) {
   const auto space = atf::search_space::generate(setup.groups());
   ASSERT_GT(space.size(), 0u);
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    const auto p = params_from(space.config_at(i));
+    const auto p = params_from<st::params>(space.config_at(i));
     EXPECT_TRUE(st::valid(prob, p, max_wg, lmem));
   }
 }

@@ -19,20 +19,7 @@ namespace {
 
 namespace xg = atf::kernels::xgemm;
 
-xg::params params_of(const atf::configuration& config) {
-  xg::params p;
-  p.wgd = config["WGD"];
-  p.mdimcd = config["MDIMCD"];
-  p.ndimcd = config["NDIMCD"];
-  p.mdimad = config["MDIMAD"];
-  p.ndimbd = config["NDIMBD"];
-  p.kwid = config["KWID"];
-  p.vwmd = config["VWMD"];
-  p.vwnd = config["VWND"];
-  p.pada = config["PADA"];
-  p.padb = config["PADB"];
-  return p;
-}
+using atf::kernels::params_from;
 
 TEST(XgemmProblem, CaffeInputSizes) {
   const auto is1 = xg::caffe_input_size(1);
@@ -59,8 +46,8 @@ TEST(XgemmParams, DefinesRoundTrip) {
   p.vwmd = 4;
   p.pada = false;
   ocls::define_map defines;
-  p.to_defines(defines);
-  const auto q = xg::params::from_defines(defines);
+  atf::kernels::to_defines(p, defines);
+  const auto q = atf::kernels::from_defines<xg::params>(defines);
   EXPECT_EQ(q.wgd, 32u);
   EXPECT_EQ(q.vwmd, 4u);
   EXPECT_FALSE(q.pada);
@@ -81,7 +68,7 @@ TEST_P(XgemmSpaceOracleTest, SpaceMatchesValidityOracle) {
 
   // (a) Everything generated is valid.
   for (std::uint64_t i = 0; i < space.size(); ++i) {
-    const auto p = params_of(space.config_at(i));
+    const auto p = params_from<xg::params>(space.config_at(i));
     EXPECT_TRUE(xg::valid(prob, p, mode, limits))
         << "invalid config in space: " << p.to_string();
   }
@@ -122,7 +109,7 @@ TEST(XgemmSpace, RestrictedIsSubsetOfGeneral) {
   const auto gs = atf::search_space::generate({general.group()});
   EXPECT_LT(rs.size(), gs.size());
   for (std::uint64_t i = 0; i < rs.size(); ++i) {
-    const auto p = params_of(rs.config_at(i));
+    const auto p = params_from<xg::params>(rs.config_at(i));
     EXPECT_TRUE(xg::valid(prob, p, xg::size_mode::general, limits));
   }
 }
