@@ -7,6 +7,7 @@
 
 #include "atf/common/hash.hpp"
 #include "atf/common/string_utils.hpp"
+#include "atf/value.hpp"
 
 namespace blasmini {
 
@@ -104,7 +105,8 @@ atf::search::feature_vector rerank_features(const xg::problem& prob,
 }
 
 /// Rebuilds params from a journal record's (name, value) pairs; nullopt when
-/// a parameter is missing (foreign or truncated record).
+/// a parameter is missing or has another type (foreign or truncated
+/// record).
 std::optional<xg::params> params_from_tuning_record(
     const atf::session::tuning_record& rec) {
   const auto config = rec.to_configuration();
@@ -115,7 +117,11 @@ std::optional<xg::params> params_from_tuning_record(
   if (!complete) {
     return std::nullopt;
   }
-  return atf::kernels::params_from<xg::params>(config);
+  try {
+    return atf::kernels::params_from<xg::params>(config);
+  } catch (const atf::value_type_error&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace

@@ -130,6 +130,12 @@ public:
     return nullptr;
   }
 
+  /// Books a lookup that would have hit, made without looking.
+  void book_hit() {
+    ++lookups_;
+    ++hits_;
+  }
+
   /// Books a lookup that missed; returns whether the memo stays on.
   bool keep_after_miss() {
     ++lookups_;
@@ -434,10 +440,25 @@ private:
     const std::size_t first = level.value_index.size();
     std::fill(memo.acc.begin(), memo.acc.end(), 0);
 
+    // A child subtree that did not read this level is the memo hit of
+    // every later sibling; it is reused (and booked as that hit) without
+    // the lookup.
+    memo_table<subtree>& child_memo = memos_[lvl + 1].subtrees;
+    std::optional<subtree> shared;
+
     // Appends valid value i (already in the level's slot) and its subtree.
     auto take = [&](std::uint64_t i) {
       prefix_[lvl] = static_cast<std::uint32_t>(i);
-      const subtree child = expand_level(lvl + 1);
+      subtree child;
+      if (shared) {
+        child_memo.book_hit();
+        child = *shared;
+      } else {
+        child = expand_level(lvl + 1);
+        if (child_memo.on() && (child.reads >> lvl & 1) == 0) {
+          shared = child;
+        }
+      }
       result.visited += child.visited;
       result.dead += child.dead;
       result.reads |= child.reads;

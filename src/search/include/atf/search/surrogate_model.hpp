@@ -21,11 +21,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
-
-#include "atf/common/rng.hpp"
 
 namespace atf::search {
 
@@ -40,25 +39,32 @@ struct surrogate_prediction {
   double stddev = 0.0;
 };
 
-/// A deterministic random-forest regressor. Fitting twice on the same
-/// (features, targets, seed) produces bit-identical predictions: all
-/// randomness flows from one xoshiro256 stream and training order is the
-/// caller's sample order.
+namespace detail {
+struct forest_fit;
+void fit_forests(const std::vector<forest_fit>& fits, std::size_t workers);
+}  // namespace detail
+
+/// A deterministic random-forest regressor. The fitted forest is a pure
+/// function of (features, targets, seed, options): fitting twice yields
+/// bit-identical predictions, however many threads grew the trees.
 ///
-/// Split ties. A node tries its features in a seed-shuffled order; an
-/// equal-SSE split on a later feature never replaces an earlier one, so
-/// feature ties break toward the first feature *tried*, and within one
-/// feature toward the lower threshold. The SSE of a split is summed in the
-/// order a node's samples are sorted by the feature, and that order is
-/// part of the contract: each feature's sort is stable and starts from the
-/// order the previous feature's sort left (the node's sample order for the
-/// first feature tried), so samples with equal values keep the order the
-/// earlier features gave them.
+/// Trees. Tree t draws its bootstrap sample and every feature shuffle from
+/// its own xoshiro256 stream, seeded by detail::tree_seed(seed, t), so tree
+/// t is the same in a forest of t + 1 trees and in one of 24. The trees are
+/// grown in parallel (detail::fit_forests) and concatenated in tree order.
 ///
-/// Fitting ranks every feature's values once (dense ranks over the fit's
-/// samples, stored column-major) and sorts each node's samples with a
-/// stable counting sort by rank, which yields exactly the permutation a
-/// stable comparison sort by value would.
+/// Splits. A node tries a seed-shuffled subset of its features. For each,
+/// it builds a histogram over the feature's dense ranks (ranked once per
+/// fit) holding the sum and the count of its samples' targets, and scans
+/// it in rank order: every boundary between two ranks present is a
+/// candidate threshold (their values' midpoint) when both sides keep
+/// min_leaf samples. A candidate's SSE is Σy² − (L²·n_R + R²·n_L) /
+/// (n_L·n_R), clamped at 0, over the node's squared targets and the left
+/// and right target sums. A split replaces the best so far only when its
+/// SSE is strictly lower, so ties go to the first feature tried and,
+/// within a feature, to the lower threshold. A node's samples keep the
+/// order of the bootstrap draw through stable partitions; each bin adds
+/// its targets in that order, which no other feature's search touches.
 ///
 /// Prediction. After a fit the forest is one flat structure-of-arrays
 /// (flat_forest). predict_sums scores a block of candidates tree by tree:
@@ -125,20 +131,38 @@ public:
   [[nodiscard]] const options& opts() const noexcept { return opts_; }
 
 private:
-  /// One fit's column-major feature values, their dense ranks and the
-  /// scratch buffers build_node reuses (defined in surrogate_model.cpp).
-  struct fit_data;
-
-  /// Appends the subtree over samples[lo, hi), whose root sits at `depth`,
-  /// to forest_ in preorder; returns its root node and raises `deepest` to
-  /// the depth of its deepest leaf.
-  std::int32_t build_node(fit_data& data, std::vector<std::uint32_t>& samples,
-                          std::size_t lo, std::size_t hi, std::size_t depth,
-                          std::size_t& deepest, common::xoshiro256& rng);
+  friend void detail::fit_forests(const std::vector<detail::forest_fit>&,
+                                  std::size_t);
 
   options opts_;
   flat_forest forest_;
 };
+
+namespace detail {
+
+/// One forest of a batch fit: the model to refit and its training data
+/// (parallel, non-empty, one width, every value finite).
+struct forest_fit {
+  surrogate_model* model = nullptr;
+  const std::vector<feature_vector>* features = nullptr;
+  const std::vector<double>* targets = nullptr;
+  std::uint64_t seed = 0;
+};
+
+/// Refits every model of `fits` as one batch: all their trees are grown by
+/// at most `workers` threads, the calling thread and helpers from one
+/// process-wide pool. The forests do not depend on `workers`, which tests
+/// check with several counts. surrogate_model::fit and
+/// surrogate_trainer::fit_pending pass 1 for a batch of fewer than 4096
+/// sample-trees (trees × samples) and hardware concurrency clamped to
+/// [1, 4] otherwise, as for the service's poll loops.
+void fit_forests(const std::vector<forest_fit>& fits, std::size_t workers);
+
+/// The seed of tree `tree`'s stream in a fit seeded with `seed`.
+[[nodiscard]] std::uint64_t tree_seed(std::uint64_t seed,
+                                      std::size_t tree) noexcept;
+
+}  // namespace detail
 
 /// Shared training-set management for the surrogate techniques: keeps a
 /// bounded window of samples, schedules refits of the cost model (valid

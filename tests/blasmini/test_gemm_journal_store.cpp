@@ -216,6 +216,44 @@ TEST(GemmJournalStore, FailedMeasurementsAreNeverServed) {
   EXPECT_NE(dispatch.dispatch(64, 64, 64).from, dispatcher::source::exact);
 }
 
+/// A GEMM record whose PADA knob is stored as an integer, not a bool:
+/// complete and CRC-valid when appended, but not decodable as params.
+atf::session::tuning_record mistyped_record(double time_ns) {
+  auto record = gemm_record(wide_params(), time_ns);
+  bool found = false;
+  for (auto& [name, value] : record.values) {
+    if (name == "PADA") {
+      value = atf::tp_value(std::int64_t{1});
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+  record.config_hash = record.to_configuration().hash();
+  return record;
+}
+
+TEST(GemmJournalStore, RecordWithAMistypedKnobIsSkipped) {
+  const std::string dir = fresh_dir();
+  // The only record of 16x16x16 is mistyped: the key is not a stored size.
+  append(blasmini_test::journal_path(dir, k20m().name(), "16x16x16"),
+         mistyped_record(5.0));
+  // 32x32x32's best is valid; its dearer mistyped record reaches only the
+  // re-ranker's training set, which skips it too.
+  const std::string other =
+      blasmini_test::journal_path(dir, k20m().name(), "32x32x32");
+  append(other, gemm_record(xg::params::defaults(), 900.0));
+  append(other, mistyped_record(2000.0));
+
+  auto opts = journaled(dir);
+  opts.min_rerank_samples = 1;
+  dispatcher dispatch(k20m(), opts);
+  EXPECT_EQ(dispatch.known_sizes(), std::vector<std::string>{"32x32x32"});
+  EXPECT_EQ(served_exactly(dispatch, {32, 32, 32}),
+            xg::params::defaults().to_string());
+  EXPECT_NE(dispatch.dispatch(16, 16, 16).from, dispatcher::source::exact);
+  EXPECT_EQ(dispatch.rerank_samples(), 1u);
+}
+
 // ------------------------------------------------------------ key isolation
 
 TEST(GemmJournalStore, OtherDevicesJournalsAreNotServed) {

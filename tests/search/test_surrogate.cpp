@@ -585,11 +585,11 @@ TEST(SurrogateWork, TreeAndDecodeStepsArePinned) {
   // Pinned for seed 23: a change to the forest walk's length, the pool size
   // or the decode walk moves these.
   EXPECT_EQ(dag.scored, 26112u);  // 102 scored proposals x 256
-  EXPECT_EQ(dag.tree_steps, 5712896u);
-  EXPECT_EQ(dag.sibling_steps, 85448u);
-  EXPECT_EQ(dag.materialized, 137u);
+  EXPECT_EQ(dag.tree_steps, 5632000u);
+  EXPECT_EQ(dag.sibling_steps, 85452u);
+  EXPECT_EQ(dag.materialized, 146u);
   // The proposal stream the per-candidate scoring loop produced.
-  EXPECT_EQ(dag.stream, 0x16de3410e227bc6cull);
+  EXPECT_EQ(dag.stream, 0x472454b8bc6d0f4aull);
   // The decode walk's work is a property of the tree, not of how it is
   // stored: the plain loop's CSR levels take the same steps.
   EXPECT_EQ(run_chain(atf::detail::generate_plain(
